@@ -37,7 +37,6 @@ from .posets import (
     zigzag_poset,
 )
 from .ppartitions import (
-    OrderPolyValue,
     TruncatedSeries,
     VerificationError,
     barred_chain_total,
@@ -53,7 +52,6 @@ from .ppartitions import (
 from .algebra import (
     ClassPartition,
     GroupAlgebraElement,
-    Rational,
     RationalPolynomial,
     algebra_add,
     algebra_multiply,

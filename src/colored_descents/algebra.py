@@ -23,8 +23,6 @@ from .group import (
     ColoredPermutation,
     SizeCapExceeded,
     Word,
-    _compose_words,
-    _inverse_word,
     descent_positions,
     enumerate_group,
     identity,
@@ -32,10 +30,6 @@ from .group import (
     word_des,
     word_str,
 )
-
-# Exact rational scalars; stdlib Fraction already keeps gcd-reduced
-# numerator over positive denominator.
-Rational = Fraction
 
 Scalar = Union[int, Fraction]
 
@@ -150,7 +144,11 @@ def algebra_multiply(
     coeffs: dict[Word, Scalar] = {}
     for ws, cs in a.coeffs.items():
         for wt, ct in b.coeffs.items():
-            w = _compose_words(r, ws, wt)
+            out = []
+            for pc, pv in wt:
+                sc, sv = ws[pv - 1]
+                out.append(((pc + sc) % r, sv))
+            w = tuple(out)
             coeffs[w] = coeffs.get(w, 0) + cs * ct
     return GroupAlgebraElement(a.r, a.n, coeffs)
 
@@ -182,11 +180,7 @@ class ClassPartition:
     n: int
     kind: str
     classes: tuple[ClassInfo, ...]
-    labels: dict[Word, int] = field(compare=False)
     order: tuple[Word, ...] = field(compare=False)
-
-    def label_of(self, w: Word) -> object:
-        return self.classes[self.labels[w]].label
 
     def class_sums(self) -> list[GroupAlgebraElement]:
         return [
@@ -212,8 +206,7 @@ def partition_by(
         ClassInfo(i, label, tuple(by_label[label]))
         for i, label in enumerate(sorted_labels)
     )
-    labels = {w: info.index for info in classes for w in info.members}
-    return ClassPartition(r, n, kind, classes, labels, order)
+    return ClassPartition(r, n, kind, classes, order)
 
 
 def des_partition(r: int, n: int, max_size: int = 10_000_000) -> ClassPartition:
@@ -324,11 +317,19 @@ class ClosureFailure:
 
 @dataclass(frozen=True)
 class ClosureReport:
+    """Outcome of a closure check.
+
+    ``tensor`` holds the structure constants read off the checked products,
+    ``tensor[j][k]`` being the span vector of class_sum_j * class_sum_k; it
+    is None unless every product lies in the span.
+    """
+
     kind: str
     r: int
     n: int
     pairs_checked: int
     failures: tuple[ClosureFailure, ...]
+    tensor: Optional[list[list[list[int]]]] = field(default=None, compare=False)
 
     @property
     def passed(self) -> bool:
@@ -340,48 +341,35 @@ def verify_closure(
 ) -> ClosureReport:
     """Check every product of two class sums against the span of the sums.
 
-    Convolves the whole group against itself once, bucketing coefficients
-    by the class pair, then tests constancy on every class.
+    Multiplies each ordered pair of class sums (|G|^2 compositions in all)
+    and tests the product for constancy on every class.  A failing pair
+    reports the first differing member of its first non-constant class.
+    When all pairs pass, their span vectors form the structure-constant
+    tensor carried on the report.
     """
-    order = partition.order
-    if len(order) ** 2 > max_pairs:
-        raise SizeCapExceeded(f"{len(order)}^2 products exceed cap {max_pairs}")
-    K = len(partition.classes)
-    label = partition.labels
-    r = partition.r
-    buckets: list[list[dict[Word, int]]] = [
-        [dict() for _ in range(K)] for _ in range(K)
-    ]
-    tlabels = [label[w] for w in order]
-    for ws in order:
-        row = buckets[label[ws]]
-        for wt, k in zip(order, tlabels):
-            out = []
-            for pc, pv in wt:
-                sc, sv = ws[pv - 1]
-                out.append(((pc + sc) % r, sv))
-            w = tuple(out)
-            bucket = row[k]
-            bucket[w] = bucket.get(w, 0) + 1
-
+    if len(partition.order) ** 2 > max_pairs:
+        raise SizeCapExceeded(
+            f"{len(partition.order)}^2 products exceed cap {max_pairs}"
+        )
+    sums = partition.class_sums()
     failures = []
-    for j in range(K):
-        for k in range(K):
-            bucket = buckets[j][k]
-            for info in partition.classes:
-                ref = bucket.get(info.representative, 0)
-                for w in info.members[1:]:
-                    c = bucket.get(w, 0)
-                    if c != ref:
-                        failures.append(
-                            ClosureFailure(j, k, (info.representative, w, ref, c))
-                        )
-                        break
-                else:
-                    continue
-                break
+    tensor = []
+    for j, left in enumerate(sums):
+        row = []
+        for k, right in enumerate(sums):
+            check = is_in_span(algebra_multiply(left, right, max_pairs), partition)
+            if check.in_span:
+                row.append(list(check.vector))
+            else:
+                failures.append(ClosureFailure(j, k, check.witness))
+        tensor.append(row)
     return ClosureReport(
-        partition.kind, partition.r, partition.n, K * K, tuple(failures)
+        partition.kind,
+        partition.r,
+        partition.n,
+        len(sums) ** 2,
+        tuple(failures),
+        None if failures else tensor,
     )
 
 
@@ -397,8 +385,8 @@ def structure_constants(
     """Integer tensor m with class_sum_j * class_sum_k = sum_i m[j][k][i] sum_i.
 
     Requires closure: pass a ClosureReport for the same partition, or let
-    the function verify closure itself.  Computed from one representative
-    per class: m[j][k][i] counts factorizations of the representative.
+    the function verify closure itself.  The tensor is the one read off the
+    closure check's products; no second pass over the group is made.
     """
     if closure is None:
         closure = verify_closure(partition, max_pairs)
@@ -413,18 +401,7 @@ def structure_constants(
             f"closure not established for {partition.kind} on "
             f"G({partition.r},{partition.n})"
         )
-    K = len(partition.classes)
-    r = partition.r
-    label = partition.labels
-    tensor = [[[0] * K for _ in range(K)] for _ in range(K)]
-    inverses = {w: _inverse_word(r, w) for w in partition.order}
-    for info in partition.classes:
-        rep = info.representative
-        for ws in partition.order:
-            j = label[ws]
-            wt = _compose_words(r, inverses[ws], rep)
-            tensor[j][label[wt]][info.index] += 1
-    return tensor
+    return closure.tensor
 
 
 def collapse(element: GroupAlgebraElement, partition: ClassPartition) -> tuple:

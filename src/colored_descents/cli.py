@@ -29,12 +29,7 @@ from .group import (
     permutation_to_json,
 )
 from .algebra import idempotent_class_table
-from .ppartitions import (
-    OrderPolyValue,
-    VerificationError,
-    eulerian_polynomial,
-    omega_pi,
-)
+from .ppartitions import VerificationError, eulerian_polynomial, omega_pi
 from .verify import SUITE_NAMES, run_suite
 
 ENV_PREFIX = "COLORED_DESCENTS_"
@@ -72,7 +67,6 @@ class RunConfig:
     jobs: int
     max_group_size: int
     format: str
-    cache: Optional[str]
 
     def to_json(self) -> dict:
         return {
@@ -86,7 +80,6 @@ class RunConfig:
             "jobs": self.jobs,
             "max_group_size": self.max_group_size,
             "format": self.format,
-            "cache": self.cache,
         }
 
 
@@ -109,7 +102,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         choices=("json", "csv", "text"),
         default=_env("format", "text"),
     )
-    parser.add_argument("--cache", type=str, default=_env("cache"))
     parser.add_argument("--output", "-o", type=str, default=_env("output"),
                         help="write to this file instead of stdout")
 
@@ -151,6 +143,8 @@ def _validate_common(args: argparse.Namespace) -> None:
         raise UsageError("--max-group-size must be positive")
     if args.jobs < 1:
         raise UsageError("--jobs must be at least 1")
+    if args.k < 0 or any(j < 0 for j in _parse_j_range(args.j)):
+        raise UsageError("--j and --k must be nonnegative")
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
@@ -165,7 +159,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         jobs=args.jobs,
         max_group_size=args.max_group_size,
         format=args.format,
-        cache=args.cache,
     )
 
 
@@ -249,7 +242,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         k_max=args.k,
         jobs=args.jobs,
         max_group_size=args.max_group_size,
-        cache=args.cache,
     )
     duration = time.perf_counter() - start
     envelope = {
@@ -368,14 +360,13 @@ def cmd_order_poly(args: argparse.Namespace) -> int:
         raise UsageError("order-poly requires --pi")
     r = args.r if args.r is not None else 2
     pi = parse_one_line(args.pi, r)
-    values = [OrderPolyValue(omega_pi(pi, j), j) for j in _parse_j_range(args.j)]
     records = [
         {
             "op": "order-poly",
-            "params": {"r": r, "pi": str(pi), "j": v.j},
-            "count": str(v.count),
+            "params": {"r": r, "pi": str(pi), "j": j},
+            "count": str(omega_pi(pi, j)),
         }
-        for v in values
+        for j in _parse_j_range(args.j)
     ]
     if args.format == "json":
         for record in records:
@@ -423,3 +414,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 def console_main() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_main()

@@ -33,6 +33,7 @@ from .group import (
 )
 from .posets import (
     ColoredPoset,
+    _zero_letters,
     colored_linear_extensions,
     make_poset,
     zigzag_poset,
@@ -44,15 +45,6 @@ DEFAULT_MAX_MAPS = 10_000_000
 def binom(m: int, k: int) -> int:
     """Binomial coefficient, zero whenever m < k (multichoose convention)."""
     return math.comb(m, k) if m >= k else 0
-
-
-@dataclass(frozen=True)
-class OrderPolyValue:
-    """An order-polynomial evaluation together with its parameters."""
-
-    count: int
-    j: int
-    k: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -284,7 +276,7 @@ def random_colored_poset(
     ell = rng.randint(0, max_values)
     values = [v + value_offset for v in rng.sample(range(1, max_values + 3), ell)]
     letters = [ColoredLetter(rng.randrange(r), v) for v in values]
-    order: list[ColoredLetter] = list(_zero_chain(r))
+    order: list[ColoredLetter] = list(_zero_letters(r))
     for letter in letters:
         order.insert(rng.randint(0, len(order)), letter)
     covers = []
@@ -296,7 +288,3 @@ def random_colored_poset(
                 covers.append((a, b))
     n = max(values, default=0)
     return make_poset(r, n, letters, covers)
-
-
-def _zero_chain(r: int) -> tuple[ColoredLetter, ...]:
-    return tuple(ColoredLetter(c, 0) for c in range(1, r))

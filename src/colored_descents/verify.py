@@ -8,8 +8,6 @@ worker count.
 from __future__ import annotations
 
 import itertools
-import json
-import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -262,11 +260,16 @@ def suite_order_poly(
 def _lemma_case(case: dict) -> dict:
     r, n = case["r"], case["n"]
     mode = case["mode"]
-    group = list(enumerate_group(r, n))
+    # zigzag extensions have quotient descent set exactly I, chain ones within I
+    matches = frozenset.__eq__ if mode == "zigzag" else frozenset.__le__
+    group = list(enumerate_group(r, n, case["max_group_size"]))
     inverses = {pi: inverse(pi) for pi in group}
     checks = 0
     failures = []
     for pi in group:
+        quotient_des = {
+            s: descent_positions(compose(inverses[s], pi).letters) for s in group
+        }
         for size in range(n + 1):
             for I in itertools.combinations(range(1, n + 1), size):
                 Iset = frozenset(I)
@@ -275,18 +278,7 @@ def _lemma_case(case: dict) -> dict:
                 )
                 words = colored_linear_extensions(poset)
                 got = [ColoredPermutation(r, w) for w in words]
-                if mode == "zigzag":
-                    want = {
-                        s
-                        for s in group
-                        if descent_positions(compose(inverses[s], pi).letters) == Iset
-                    }
-                else:
-                    want = {
-                        s
-                        for s in group
-                        if descent_positions(compose(inverses[s], pi).letters) <= Iset
-                    }
+                want = {s for s, D in quotient_des.items() if matches(D, Iset)}
                 checks += 1
                 if len(got) != len(set(got)) or set(got) != want:
                     failures.append(
@@ -308,7 +300,10 @@ def _lemma_suite(mode: str, r, n, jobs, max_group_size) -> SuiteReport:
     else:
         combos = [(rr, nn) for rr in (1, 2, 3) for nn in (1, 2, 3)]
     report = SuiteReport(mode, {"groups": combos})
-    case_list = [{"r": rr, "n": nn, "mode": mode} for rr, nn in combos]
+    case_list = [
+        {"r": rr, "n": nn, "mode": mode, "max_group_size": max_group_size}
+        for rr, nn in combos
+    ]
     for res in _map_cases("lemma", case_list, jobs):
         report.checks += res["checks"]
         report.failures.extend(res["failures"])
@@ -361,16 +356,18 @@ def suite_chain(r=None, n=None, jobs=1, max_group_size=10_000_000, **_) -> Suite
 def _barred_case(case: dict) -> dict:
     r, n = case["r"], case["n"]
     pi = parse_one_line(case["pi"], r)
-    group = list(enumerate_group(r, n))
+    # (des(s), des(s^-1 pi)) over the group; the convolution needs nothing else
+    des_pairs = [
+        (word_des(s.letters), word_des(compose(inverse(s), pi).letters))
+        for s in enumerate_group(r, n)
+    ]
     checks = 0
     failures = []
     for j in range(case["j_max"] + 1):
         for k in range(case["k_max"] + 1):
             closed = binom(r * j * k + j + k + n - word_des(pi.letters), n)
             conv = sum(
-                binom(j + n - word_des(s.letters), n)
-                * binom(k + n - word_des(compose(inverse(s), pi).letters), n)
-                for s in group
+                binom(j + n - ds, n) * binom(k + n - dq, n) for ds, dq in des_pairs
             )
             barred = barred_chain_total(pi, j, k)
             checks += 1
@@ -444,44 +441,21 @@ def _closure_record(partition: ClassPartition, max_pairs: int) -> tuple[dict, ob
     return record, rep
 
 
-def suite_closure_des(
-    r=None,
-    n=None,
-    max_group_size=10_000_000,
-    cache=None,
-    **_,
-) -> SuiteReport:
+def suite_closure_des(r=None, n=None, max_group_size=10_000_000, **_) -> SuiteReport:
     combos = [(r, n)] if r is not None and n is not None else list(CLOSURE_DES_SWEEP)
     report = SuiteReport("closure-des", {"groups": combos})
     for rr, nn in combos:
         partition = des_partition(rr, nn, max_group_size)
-        cached = _load_cached_tensor(cache, "des", rr, nn) if cache else None
-        if cached is not None:
-            tensor = cached
-            record = {
-                "partition": "des",
-                "r": rr,
-                "n": nn,
-                "classes": len(partition.classes),
-                "class_sizes": [info.size for info in partition.classes],
-                "passed": True,
-                "witnesses": [],
-                "cached": True,
-            }
-        else:
-            record, rep = _closure_record(partition, max_group_size)
-            if not rep.passed:
-                report.failures.append(record)
-                report.checks += 1
-                continue
-            tensor = structure_constants(partition, rep)
-            if cache:
-                _store_cached_tensor(cache, "des", rr, nn, tensor)
+        record, rep = _closure_record(partition, max_group_size)
+        if not rep.passed:
+            report.failures.append(record)
+            report.checks += 1
+            continue
         sizes = [info.size for info in partition.classes]
-        mass_ok = tensor_mass_check(tensor, sizes)
+        mass_ok = tensor_mass_check(structure_constants(partition, rep), sizes)
         record["mass_check"] = mass_ok
         report.checks += 2
-        if not record["passed"] or not mass_ok:
+        if not mass_ok:
             report.failures.append(record)
         report.details.setdefault("groups", []).append(record)
     return report
@@ -532,7 +506,7 @@ def suite_phi(r=None, n=None, j_max=2, max_group_size=10_000_000, **_) -> SuiteR
     return report
 
 
-def suite_idempotents(r=None, n=None, max_group_size=10_000_000, cache=None, **_) -> SuiteReport:
+def suite_idempotents(r=None, n=None, max_group_size=10_000_000, **_) -> SuiteReport:
     combos = [(r, n)] if r is not None and n is not None else list(IDEMPOTENT_GROUPS)
     report = SuiteReport("idempotents", {"groups": combos})
     for rr, nn in combos:
@@ -633,41 +607,3 @@ def run_suite(name: str, **kwargs) -> SuiteReport:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
     return _SUITES[name](**kwargs)
 
-
-# ---------------------------------------------------------------------------
-# structure-constant tensor cache.
-
-def _tensor_path(cache_dir: str, kind: str, r: int, n: int) -> str:
-    from . import __version__
-
-    name = f"structure-{kind}-r{r}-n{n}-v{__version__}.json"
-    return os.path.join(cache_dir, name)
-
-
-def _load_cached_tensor(cache_dir: str, kind: str, r: int, n: int):
-    path = _tensor_path(cache_dir, kind, r, n)
-    if not os.path.exists(path):
-        return None
-    with open(path) as handle:
-        data = json.load(handle)
-    return [
-        [[int(v) for v in row] for row in plane] for plane in data["tensor"]
-    ]
-
-
-def _store_cached_tensor(cache_dir, kind, r, n, tensor) -> None:
-    from . import __version__
-
-    os.makedirs(cache_dir, exist_ok=True)
-    data = {
-        "partition": kind,
-        "r": r,
-        "n": n,
-        "version": __version__,
-        "tensor": [
-            [[str(v) for v in row] for row in plane] for plane in tensor
-        ],
-    }
-    with open(_tensor_path(cache_dir, kind, r, n), "w") as handle:
-        json.dump(data, handle, indent=2, sort_keys=True)
-        handle.write("\n")

@@ -3,10 +3,12 @@ from fractions import Fraction
 import pytest
 
 from colored_descents.group import (
+    ColoredPermutation,
     compose,
     enumerate_group,
     group_order,
     identity,
+    inverse,
     parse_one_line,
     word_des,
 )
@@ -199,7 +201,32 @@ class TestClosure:
         assert verify_closure(mr_partition(3, 2)).passed
 
 
+def factorisation_count_tensor(partition):
+    """m[j][k][i] = #{s : class(s) = j, class(s^-1 rep_i) = k}, by enumeration."""
+    r, n = partition.r, partition.n
+    label = {w: info.index for info in partition.classes for w in info.members}
+    K = len(partition.classes)
+    tensor = [[[0] * K for _ in range(K)] for _ in range(K)]
+    for info in partition.classes:
+        rep = ColoredPermutation(r, info.representative)
+        for s in enumerate_group(r, n):
+            t = compose(inverse(s), rep)
+            tensor[label[s.letters]][label[t.letters]][info.index] += 1
+    return tensor
+
+
 class TestStructureConstants:
+    def test_matches_factorisation_count(self):
+        for partition in (
+            des_partition(1, 3),
+            des_partition(2, 3),
+            des_partition(3, 2),
+            mr_partition(2, 2),
+        ):
+            assert structure_constants(partition) == factorisation_count_tensor(
+                partition
+            ), (partition.kind, partition.r, partition.n)
+
     def test_trivial_group(self):
         tensor = structure_constants(des_partition(1, 1))
         assert tensor == [[[1]]]

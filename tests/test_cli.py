@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import colored_descents
 from colored_descents import schemas
 from colored_descents.cli import main
 
@@ -65,6 +70,28 @@ class TestExitCodes:
 
     def test_pass(self, capsys):
         assert main(["verify", "variants", "--r", "2", "--n", "2"]) == 0
+
+    def test_lemma_suites_honour_group_cap(self, capsys):
+        for suite in ("zigzag", "chain"):
+            argv = ["verify", suite, "--r", "3", "--n", "5", "--max-group-size", "10"]
+            assert main(argv) == 2
+
+    def test_module_entry_point(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(colored_descents.__file__).parents[1]), env.get("PYTHONPATH", "")]
+        )
+        for module in ("colored_descents", "colored_descents.cli"):
+            proc = subprocess.run(
+                [sys.executable, "-m", module, "verify", "closure-desset",
+                 "--r", "2", "--n", "2"],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=60,
+            )
+            assert proc.returncode == 3, module
+            assert "witness" in proc.stdout
 
 
 class TestVerifyReports:
@@ -229,43 +256,6 @@ class TestEnvOverrides:
         assert out.strip() == "[1, 6, 1]"
 
 
-class TestCache:
-    def test_tensor_cache_round_trip(self, tmp_path, capsys):
-        cache = str(tmp_path / "cache")
-        code1, out1, _ = run(
-            capsys,
-            "verify",
-            "closure-des",
-            "--r",
-            "2",
-            "--n",
-            "2",
-            "--cache",
-            cache,
-            "--format",
-            "json",
-        )
-        assert code1 == 0
-        files = list((tmp_path / "cache").iterdir())
-        assert len(files) == 1 and "structure-des-r2-n2" in files[0].name
-        code2, out2, _ = run(
-            capsys,
-            "verify",
-            "closure-des",
-            "--r",
-            "2",
-            "--n",
-            "2",
-            "--cache",
-            cache,
-            "--format",
-            "json",
-        )
-        assert code2 == 0
-        report = json.loads(out2)
-        assert report["results"]["details"]["groups"][0]["cached"] is True
-
-
 class TestVerifyIdempotentsEndToEnd:
     def test_five_colors_three_letters(self, capsys):
         code, out, _ = run(
@@ -301,3 +291,6 @@ class TestVariantScanScope:
     def test_bad_caps_are_usage_errors(self, capsys):
         assert main(["enumerate", "--r", "2", "--n", "2", "--max-group-size", "0"]) == 1
         assert main(["verify", "variants", "--jobs", "0"]) == 1
+        assert main(["verify", "barred", "--r", "2", "--n", "2", "--k", "-1"]) == 1
+        assert main(["verify", "barred", "--r", "2", "--n", "2", "--j=-1"]) == 1
+        assert main(["verify", "closure-des", "--r", "2", "--n", "2", "--cache", "x"]) == 1

@@ -38,7 +38,6 @@ from .posets import (
 )
 from .ppartitions import (
     TruncatedSeries,
-    VerificationError,
     barred_chain_total,
     barred_zigzag_count,
     binom,

@@ -19,6 +19,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
 from .group import (
+    DEFAULT_MAX_GROUP_SIZE,
     ColoredLetter,
     ColoredPermutation,
     SizeCapExceeded,
@@ -194,7 +195,7 @@ def partition_by(
     n: int,
     kind: str,
     label_fn,
-    max_size: int = 10_000_000,
+    max_size: int = DEFAULT_MAX_GROUP_SIZE,
     label_sort_key=None,
 ) -> ClassPartition:
     order = tuple(pi.letters for pi in enumerate_group(r, n, max_size))
@@ -209,12 +210,14 @@ def partition_by(
     return ClassPartition(r, n, kind, classes, order)
 
 
-def des_partition(r: int, n: int, max_size: int = 10_000_000) -> ClassPartition:
+def des_partition(
+    r: int, n: int, max_size: int = DEFAULT_MAX_GROUP_SIZE
+) -> ClassPartition:
     return partition_by(r, n, "des", word_des, max_size)
 
 
 def class_sums_des(
-    r: int, n: int, max_size: int = 10_000_000
+    r: int, n: int, max_size: int = DEFAULT_MAX_GROUP_SIZE
 ) -> tuple[ClassPartition, list[GroupAlgebraElement]]:
     """The partition by descent number and the sums C_0..C_n.
 
@@ -231,7 +234,9 @@ def class_sums_des(
     return partition, sums
 
 
-def mr_partition(r: int, n: int, max_size: int = 10_000_000) -> ClassPartition:
+def mr_partition(
+    r: int, n: int, max_size: int = DEFAULT_MAX_GROUP_SIZE
+) -> ClassPartition:
     def label(w: Word) -> tuple:
         return mr_key(ColoredPermutation(r, w)).parts
 
@@ -239,14 +244,16 @@ def mr_partition(r: int, n: int, max_size: int = 10_000_000) -> ClassPartition:
 
 
 def class_sums_mr(
-    r: int, n: int, max_size: int = 10_000_000
+    r: int, n: int, max_size: int = DEFAULT_MAX_GROUP_SIZE
 ) -> tuple[ClassPartition, list[GroupAlgebraElement]]:
     """One class sum per realized run composition, in label order."""
     partition = mr_partition(r, n, max_size)
     return partition, partition.class_sums()
 
 
-def desset_partition(r: int, n: int, max_size: int = 10_000_000) -> ClassPartition:
+def desset_partition(
+    r: int, n: int, max_size: int = DEFAULT_MAX_GROUP_SIZE
+) -> ClassPartition:
     def label(w: Word) -> tuple:
         return tuple(sorted(descent_positions(w)))
 
@@ -254,7 +261,7 @@ def desset_partition(r: int, n: int, max_size: int = 10_000_000) -> ClassPartiti
 
 
 def variant_partition(
-    r: int, n: int, a: int, b: int, max_size: int = 10_000_000
+    r: int, n: int, a: int, b: int, max_size: int = DEFAULT_MAX_GROUP_SIZE
 ) -> ClassPartition:
     """Partition by the descent count read with boundary letters 0_a, 0_b."""
     lo, hi = ColoredLetter(a, 0), ColoredLetter(b, 0)
@@ -481,7 +488,7 @@ class RationalPolynomial:
 
 
 def structure_poly_eval(
-    r: int, n: int, x: Scalar, max_size: int = 10_000_000
+    r: int, n: int, x: Scalar, max_size: int = DEFAULT_MAX_GROUP_SIZE
 ) -> GroupAlgebraElement:
     """phi(x): every group element weighted by C(x + n - des, n).
 
@@ -507,7 +514,7 @@ def verify_phi_identity(
     r: int,
     n: int,
     pairs: Iterable[tuple[Scalar, Scalar]],
-    max_size: int = 10_000_000,
+    max_size: int = DEFAULT_MAX_GROUP_SIZE,
 ) -> bool:
     """Whether phi(x) phi(y) = phi(r x y + x + y) for every supplied pair."""
     for x, y in pairs:
@@ -535,7 +542,7 @@ def idempotent_class_table(r: int, n: int) -> list[list[Fraction]]:
 
 
 def eulerian_idempotents(
-    r: int, n: int, max_size: int = 10_000_000
+    r: int, n: int, max_size: int = DEFAULT_MAX_GROUP_SIZE
 ) -> list[GroupAlgebraElement]:
     """The n+1 orthogonal idempotents c_i = sum_d alpha[i][d] C_d."""
     table = idempotent_class_table(r, n)

@@ -14,7 +14,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -29,7 +28,7 @@ from .group import (
     permutation_to_json,
 )
 from .algebra import idempotent_class_table
-from .ppartitions import VerificationError, eulerian_polynomial, omega_pi
+from .ppartitions import eulerian_polynomial, omega_pi
 from .verify import SUITE_NAMES, run_suite
 
 ENV_PREFIX = "COLORED_DESCENTS_"
@@ -53,49 +52,27 @@ def _env(flag: str, fallback=None):
     return os.environ.get(ENV_PREFIX + flag.upper().replace("-", "_"), fallback)
 
 
-@dataclass
-class RunConfig:
-    """Echo of every flag that shaped a run; embedded in reports."""
-
-    command: str
-    r: Optional[int]
-    n: Optional[int]
-    j: str
-    k: int
-    seed: int
-    cases: int
-    jobs: int
-    max_group_size: int
-    format: str
-
-    def to_json(self) -> dict:
-        return {
-            "command": self.command,
-            "r": self.r,
-            "n": self.n,
-            "j": self.j,
-            "k": self.k,
-            "seed": self.seed,
-            "cases": self.cases,
-            "jobs": self.jobs,
-            "max_group_size": self.max_group_size,
-            "format": self.format,
-        }
+# Every flag that shapes a run; a verify report echoes them as its config.
+CONFIG_FLAGS = (
+    "command", "r", "n", "j", "k", "seed", "cases", "jobs", "max_group_size", "format",
+)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
+    # argparse converts a string default (a preset) with ``type``, so a bad
+    # preset is a usage error like a bad flag
     parser.add_argument("--r", type=int, default=_env("r"))
     parser.add_argument("--n", type=int, default=_env("n"))
     parser.add_argument("--j", type=str, default=_env("j", "0..3"),
                         help="single value or inclusive range like 0..3")
-    parser.add_argument("--k", type=int, default=int(_env("k", 3)))
-    parser.add_argument("--seed", type=int, default=int(_env("seed", 0)))
-    parser.add_argument("--cases", type=int, default=int(_env("cases", 100)))
-    parser.add_argument("--jobs", type=int, default=int(_env("jobs", 1)))
+    parser.add_argument("--k", type=int, default=_env("k", 3))
+    parser.add_argument("--seed", type=int, default=_env("seed", 0))
+    parser.add_argument("--cases", type=int, default=_env("cases", 100))
+    parser.add_argument("--jobs", type=int, default=_env("jobs", 1))
     parser.add_argument(
         "--max-group-size",
         type=int,
-        default=int(_env("max-group-size", DEFAULT_MAX_GROUP_SIZE)),
+        default=_env("max-group-size", DEFAULT_MAX_GROUP_SIZE),
     )
     parser.add_argument(
         "--format",
@@ -133,9 +110,10 @@ def build_parser() -> _Parser:
 
 def _parse_j_range(text: str) -> list[int]:
     lo, sep, hi = text.partition("..")
-    if sep:
-        return list(range(int(lo), int(hi) + 1))
-    return [int(lo)]
+    values = list(range(int(lo), int(hi) + 1)) if sep else [int(lo)]
+    if not values:
+        raise UsageError(f"--j range {text} is empty")
+    return values
 
 
 def _validate_common(args: argparse.Namespace) -> None:
@@ -145,21 +123,6 @@ def _validate_common(args: argparse.Namespace) -> None:
         raise UsageError("--jobs must be at least 1")
     if args.k < 0 or any(j < 0 for j in _parse_j_range(args.j)):
         raise UsageError("--j and --k must be nonnegative")
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        r=args.r,
-        n=args.n,
-        j=args.j,
-        k=args.k,
-        seed=args.seed,
-        cases=args.cases,
-        jobs=args.jobs,
-        max_group_size=args.max_group_size,
-        format=args.format,
-    )
 
 
 def _emit(text: str, output: Optional[str]) -> None:
@@ -229,7 +192,6 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
     j_values = _parse_j_range(args.j)
     start = time.perf_counter()
     report = run_suite(
@@ -248,7 +210,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "tool": "colored-descents",
         "version": __version__,
         "command": f"verify {args.suite}",
-        "config": config.to_json(),
+        "config": {flag: getattr(args, flag) for flag in CONFIG_FLAGS},
         "seed": args.seed,
         "duration_seconds": round(duration, 6),
         "results": report.to_json(),
@@ -398,18 +360,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
         _validate_common(args)
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SizeCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except VerificationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFICATION
 
 
 def console_main() -> None:

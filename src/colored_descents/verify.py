@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from .algebra import (
@@ -32,9 +32,11 @@ from .algebra import (
     verify_phi_identity,
 )
 from .group import (
+    DEFAULT_MAX_GROUP_SIZE,
     ColoredPermutation,
+    _compose_words,
+    _inverse_word,
     compose,
-    descent_positions,
     enumerate_group,
     group_order,
     inverse,
@@ -43,9 +45,10 @@ from .group import (
     word_str,
 )
 from .posets import (
+    ColoredPoset,
     chain_poset,
     colored_linear_extensions,
-    poset_from_json,
+    detached_chain_poset,
     poset_to_json,
     zigzag_poset,
 )
@@ -53,6 +56,7 @@ from .ppartitions import (
     barred_chain_total,
     binom,
     count_ppartitions_bruteforce,
+    omega_Ppi,
     omega_via_extensions,
     random_colored_poset,
     verify_steingrimsson,
@@ -132,59 +136,49 @@ class SuiteReport:
 
     @property
     def passed(self) -> bool:
-        return not self.failures
+        return self.checks > 0 and not self.failures
 
     def to_json(self) -> dict:
-        return {
-            "suite": self.suite,
-            "params": self.params,
-            "checks": self.checks,
-            "passed": self.passed,
-            "failures": self.failures,
-            "details": self.details,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
-def _map_cases(worker: str, cases: list[dict], jobs: int) -> list[dict]:
-    """Run the named worker over the cases, preserving case order."""
+def _run_cases(
+    report: SuiteReport, worker, cases: list[tuple], jobs: int
+) -> list[dict]:
+    """Run ``worker(*case)`` for every case in case order, in-process or over
+    ``jobs`` worker processes; merge checks and failures into the report."""
     if jobs <= 1 or len(cases) <= 1:
-        return [_WORKERS[worker](case) for case in cases]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_dispatch, [(worker, case) for case in cases]))
-
-
-def _dispatch(job: tuple[str, dict]) -> dict:
-    worker, case = job
-    return _WORKERS[worker](case)
+        results = [worker(*case) for case in cases]
+    else:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            results = list(pool.map(worker, *zip(*cases)))
+    for res in results:
+        report.checks += res["checks"]
+        report.failures.extend(res["failures"])
+    return results
 
 
 # ---------------------------------------------------------------------------
 # ftcpp: brute-force counts against sums over colored linear extensions.
 
-def _ftcpp_case(case: dict) -> dict:
-    poset = poset_from_json(case["poset"])
+def _ftcpp_case(index: int, poset: ColoredPoset, j_max: int) -> dict:
     failures = []
     counts = []
-    for j in range(case["j_max"] + 1):
+    for j in range(j_max + 1):
         brute = count_ppartitions_bruteforce(poset, j)
         via = omega_via_extensions(poset, j)
-        counts.append(brute)
+        counts.append(str(brute))
         if brute != via:
             failures.append(
                 {
-                    "case": case["case"],
-                    "poset": case["poset"],
+                    "case": index,
+                    "poset": poset_to_json(poset),
                     "j": j,
                     "bruteforce": str(brute),
                     "extension_sum": str(via),
                 }
             )
-    return {
-        "case": case["case"],
-        "checks": case["j_max"] + 1,
-        "counts": [str(c) for c in counts],
-        "failures": failures,
-    }
+    return {"checks": j_max + 1, "counts": counts, "failures": failures}
 
 
 def suite_ftcpp(
@@ -197,20 +191,12 @@ def suite_ftcpp(
 ) -> SuiteReport:
     rng = random.Random(seed)
     case_list = [
-        {
-            "case": i,
-            "poset": poset_to_json(random_colored_poset(rng, max_r=r or 3)),
-            "j_max": j_max,
-        }
-        for i in range(cases)
+        (i, random_colored_poset(rng, max_r=r or 3), j_max) for i in range(cases)
     ]
     report = SuiteReport(
         "ftcpp", {"r_max": r or 3, "seed": seed, "cases": cases, "j_max": j_max}
     )
-    results = _map_cases("ftcpp", case_list, jobs)
-    for res in results:
-        report.checks += res["checks"]
-        report.failures.extend(res["failures"])
+    results = _run_cases(report, _ftcpp_case, case_list, jobs)
     report.details["counts"] = [res["counts"] for res in results]
     return report
 
@@ -218,20 +204,16 @@ def suite_ftcpp(
 # ---------------------------------------------------------------------------
 # order-poly: brute force on the detached chain of pi against the closed form.
 
-def _order_poly_case(case: dict) -> dict:
-    from .posets import detached_chain_poset
-    from .ppartitions import omega_Ppi
-
-    pi = parse_one_line(case["pi"], case["r"])
+def _order_poly_case(pi: ColoredPermutation, j_max: int) -> dict:
     failures = []
-    for j in range(case["j_max"] + 1):
+    for j in range(j_max + 1):
         brute = count_ppartitions_bruteforce(detached_chain_poset(pi), j)
         closed = omega_Ppi(pi, j)
         if brute != closed:
             failures.append(
-                {"pi": case["pi"], "j": j, "bruteforce": str(brute), "closed": str(closed)}
+                {"pi": str(pi), "j": j, "bruteforce": str(brute), "closed": str(closed)}
             )
-    return {"checks": case["j_max"] + 1, "failures": failures}
+    return {"checks": j_max + 1, "failures": failures}
 
 
 def suite_order_poly(
@@ -239,46 +221,40 @@ def suite_order_poly(
     n: int | None = None,
     j_max: int = 3,
     jobs: int = 1,
-    max_group_size: int = 10_000_000,
+    max_group_size: int = DEFAULT_MAX_GROUP_SIZE,
     **_: object,
 ) -> SuiteReport:
     r, n = r or 3, n if n is not None else 3
     report = SuiteReport("order-poly", {"r": r, "n": n, "j_max": j_max})
-    case_list = [
-        {"r": r, "pi": str(pi), "j_max": j_max}
-        for pi in enumerate_group(r, n, max_group_size)
-    ]
-    for res in _map_cases("order-poly", case_list, jobs):
-        report.checks += res["checks"]
-        report.failures.extend(res["failures"])
+    case_list = [(pi, j_max) for pi in enumerate_group(r, n, max_group_size)]
+    _run_cases(report, _order_poly_case, case_list, jobs)
     return report
 
 
 # ---------------------------------------------------------------------------
 # zigzag / chain: extension sets against descent conditions on quotients.
 
-def _lemma_case(case: dict) -> dict:
-    r, n = case["r"], case["n"]
-    mode = case["mode"]
+def _lemma_case(r: int, n: int, mode: str, max_group_size: int) -> dict:
     # zigzag extensions have quotient descent set exactly I, chain ones within I
     matches = frozenset.__eq__ if mode == "zigzag" else frozenset.__le__
-    group = list(enumerate_group(r, n, case["max_group_size"]))
-    inverses = {pi: inverse(pi) for pi in group}
+    make = zigzag_poset if mode == "zigzag" else chain_poset
+    # sigma^-1 pi lies in the class of descent set D iff sigma = pi tau^-1, tau in D
+    classes = [
+        (frozenset(info.label), [_inverse_word(r, w) for w in info.members])
+        for info in desset_partition(r, n, max_group_size).classes
+    ]
     checks = 0
     failures = []
-    for pi in group:
-        quotient_des = {
-            s: descent_positions(compose(inverses[s], pi).letters) for s in group
-        }
+    for pi in enumerate_group(r, n):
+        quotients = [
+            (D, {_compose_words(r, pi.letters, t) for t in inverses})
+            for D, inverses in classes
+        ]
         for size in range(n + 1):
             for I in itertools.combinations(range(1, n + 1), size):
                 Iset = frozenset(I)
-                poset = (
-                    zigzag_poset(Iset, pi) if mode == "zigzag" else chain_poset(Iset, pi)
-                )
-                words = colored_linear_extensions(poset)
-                got = [ColoredPermutation(r, w) for w in words]
-                want = {s for s, D in quotient_des.items() if matches(D, Iset)}
+                got = colored_linear_extensions(make(Iset, pi))
+                want = set().union(*(ws for D, ws in quotients if matches(D, Iset)))
                 checks += 1
                 if len(got) != len(set(got)) or set(got) != want:
                     failures.append(
@@ -287,8 +263,8 @@ def _lemma_case(case: dict) -> dict:
                             "n": n,
                             "pi": str(pi),
                             "I": sorted(Iset),
-                            "extensions": sorted(str(g) for g in got),
-                            "expected": sorted(str(w) for w in want),
+                            "extensions": sorted(word_str(w) for w in got),
+                            "expected": sorted(word_str(w) for w in want),
                         }
                     )
     return {"checks": checks, "failures": failures}
@@ -300,62 +276,53 @@ def _lemma_suite(mode: str, r, n, jobs, max_group_size) -> SuiteReport:
     else:
         combos = [(rr, nn) for rr in (1, 2, 3) for nn in (1, 2, 3)]
     report = SuiteReport(mode, {"groups": combos})
-    case_list = [
-        {"r": rr, "n": nn, "mode": mode, "max_group_size": max_group_size}
-        for rr, nn in combos
-    ]
-    for res in _map_cases("lemma", case_list, jobs):
-        report.checks += res["checks"]
-        report.failures.extend(res["failures"])
-    if mode == "zigzag":
-        _check_worked_zigzag(report)
-    else:
-        _check_worked_chain(report)
+    case_list = [(rr, nn, mode, max_group_size) for rr, nn in combos]
+    _run_cases(report, _lemma_case, case_list, jobs)
+    _check_worked_example(report, mode)
     return report
 
 
-def _check_worked_zigzag(report: SuiteReport) -> None:
+def _check_worked_example(report: SuiteReport, mode: str) -> None:
     ex = WORKED_EXAMPLE
     pi = parse_one_line(ex["pi"], ex["r"])
-    words = colored_linear_extensions(zigzag_poset(frozenset(ex["I"]), pi))
+    make = zigzag_poset if mode == "zigzag" else chain_poset
+    words = colored_linear_extensions(make(frozenset(ex["I"]), pi))
     got = {word_str(w) for w in words}
-    quotients = {
-        str(compose(inverse(ColoredPermutation(ex["r"], w)), pi)) for w in words
-    }
-    report.checks += 2
-    if got != ex["cl_zigzag"] or len(words) != len(ex["cl_zigzag"]):
-        report.failures.append({"worked_example": "zigzag", "got": sorted(got)})
-    if quotients != ex["quotients"]:
-        report.failures.append({"worked_example": "quotients", "got": sorted(quotients)})
-    report.details["worked_example"] = {"extensions": sorted(got)}
-
-
-def _check_worked_chain(report: SuiteReport) -> None:
-    ex = WORKED_EXAMPLE
-    pi = parse_one_line(ex["pi"], ex["r"])
-    words = colored_linear_extensions(chain_poset(frozenset(ex["I"]), pi))
-    got = {word_str(w) for w in words}
-    want = ex["cl_zigzag"] | {ex["chain_extra"]}
+    want = ex["cl_zigzag"]
+    if mode == "chain":
+        want = want | {ex["chain_extra"]}
     report.checks += 1
     if got != want or len(words) != len(want):
-        report.failures.append({"worked_example": "chain", "got": sorted(got)})
+        report.failures.append({"worked_example": mode, "got": sorted(got)})
+    if mode == "zigzag":
+        quotients = {
+            str(compose(inverse(ColoredPermutation(ex["r"], w)), pi)) for w in words
+        }
+        report.checks += 1
+        if quotients != ex["quotients"]:
+            report.failures.append(
+                {"worked_example": "quotients", "got": sorted(quotients)}
+            )
     report.details["worked_example"] = {"extensions": sorted(got)}
 
 
-def suite_zigzag(r=None, n=None, jobs=1, max_group_size=10_000_000, **_) -> SuiteReport:
+def suite_zigzag(
+    r=None, n=None, jobs=1, max_group_size=DEFAULT_MAX_GROUP_SIZE, **_
+) -> SuiteReport:
     return _lemma_suite("zigzag", r, n, jobs, max_group_size)
 
 
-def suite_chain(r=None, n=None, jobs=1, max_group_size=10_000_000, **_) -> SuiteReport:
+def suite_chain(
+    r=None, n=None, jobs=1, max_group_size=DEFAULT_MAX_GROUP_SIZE, **_
+) -> SuiteReport:
     return _lemma_suite("chain", r, n, jobs, max_group_size)
 
 
 # ---------------------------------------------------------------------------
 # barred: the product identity via convolution and via barred chain posets.
 
-def _barred_case(case: dict) -> dict:
-    r, n = case["r"], case["n"]
-    pi = parse_one_line(case["pi"], r)
+def _barred_case(pi: ColoredPermutation, j_max: int, k_max: int) -> dict:
+    r, n = pi.r, pi.n
     # (des(s), des(s^-1 pi)) over the group; the convolution needs nothing else
     des_pairs = [
         (word_des(s.letters), word_des(compose(inverse(s), pi).letters))
@@ -363,8 +330,8 @@ def _barred_case(case: dict) -> dict:
     ]
     checks = 0
     failures = []
-    for j in range(case["j_max"] + 1):
-        for k in range(case["k_max"] + 1):
+    for j in range(j_max + 1):
+        for k in range(k_max + 1):
             closed = binom(r * j * k + j + k + n - word_des(pi.letters), n)
             conv = sum(
                 binom(j + n - ds, n) * binom(k + n - dq, n) for ds, dq in des_pairs
@@ -374,7 +341,7 @@ def _barred_case(case: dict) -> dict:
             if not (closed == conv == barred):
                 failures.append(
                     {
-                        "pi": case["pi"],
+                        "pi": str(pi),
                         "j": j,
                         "k": k,
                         "closed": str(closed),
@@ -386,17 +353,15 @@ def _barred_case(case: dict) -> dict:
 
 
 def suite_barred(
-    r=None, n=None, j_max=3, k_max=3, jobs=1, max_group_size=10_000_000, **_
+    r=None, n=None, j_max=3, k_max=3, jobs=1,
+    max_group_size=DEFAULT_MAX_GROUP_SIZE, **_
 ) -> SuiteReport:
     r, n = r or 2, n if n is not None else 3
     report = SuiteReport("barred", {"r": r, "n": n, "j_max": j_max, "k_max": k_max})
     case_list = [
-        {"r": r, "n": n, "pi": str(pi), "j_max": j_max, "k_max": k_max}
-        for pi in enumerate_group(r, n, max_group_size)
+        (pi, j_max, k_max) for pi in enumerate_group(r, n, max_group_size)
     ]
-    for res in _map_cases("barred", case_list, jobs):
-        report.checks += res["checks"]
-        report.failures.extend(res["failures"])
+    _run_cases(report, _barred_case, case_list, jobs)
     return report
 
 
@@ -404,7 +369,7 @@ def suite_barred(
 # steingrimsson: power sums against the descent histogram.
 
 def suite_steingrimsson(
-    r=None, n=None, j_max=4, max_group_size=10_000_000, **_
+    r=None, n=None, j_max=4, max_group_size=DEFAULT_MAX_GROUP_SIZE, **_
 ) -> SuiteReport:
     r_values = [r] if r else [1, 2, 3, 4]
     n_values = [n] if n is not None else [0, 1, 2, 3, 4]
@@ -422,8 +387,8 @@ def suite_steingrimsson(
 # ---------------------------------------------------------------------------
 # closure suites.
 
-def _closure_record(partition: ClassPartition, max_pairs: int) -> tuple[dict, object]:
-    rep = verify_closure(partition, max_pairs)
+def _closure_record(partition: ClassPartition) -> tuple[dict, object]:
+    rep = verify_closure(partition)
     K = len(partition.classes)
     failed_pairs = {(f.left, f.right) for f in rep.failures}
     record = {
@@ -441,12 +406,14 @@ def _closure_record(partition: ClassPartition, max_pairs: int) -> tuple[dict, ob
     return record, rep
 
 
-def suite_closure_des(r=None, n=None, max_group_size=10_000_000, **_) -> SuiteReport:
+def suite_closure_des(
+    r=None, n=None, max_group_size=DEFAULT_MAX_GROUP_SIZE, **_
+) -> SuiteReport:
     combos = [(r, n)] if r is not None and n is not None else list(CLOSURE_DES_SWEEP)
     report = SuiteReport("closure-des", {"groups": combos})
     for rr, nn in combos:
         partition = des_partition(rr, nn, max_group_size)
-        record, rep = _closure_record(partition, max_group_size)
+        record, rep = _closure_record(partition)
         if not rep.passed:
             report.failures.append(record)
             report.checks += 1
@@ -461,12 +428,14 @@ def suite_closure_des(r=None, n=None, max_group_size=10_000_000, **_) -> SuiteRe
     return report
 
 
-def suite_closure_mr(r=None, n=None, max_group_size=10_000_000, **_) -> SuiteReport:
+def suite_closure_mr(
+    r=None, n=None, max_group_size=DEFAULT_MAX_GROUP_SIZE, **_
+) -> SuiteReport:
     combos = [(r, n)] if r is not None and n is not None else list(CLOSURE_MR_SWEEP)
     report = SuiteReport("closure-mr", {"groups": combos})
     for rr, nn in combos:
         partition = mr_partition(rr, nn, max_group_size)
-        record, rep = _closure_record(partition, max_group_size)
+        record, rep = _closure_record(partition)
         # descent number must be constant on every run-composition class
         des_constant = all(
             len({word_des(w) for w in info.members}) == 1
@@ -480,11 +449,13 @@ def suite_closure_mr(r=None, n=None, max_group_size=10_000_000, **_) -> SuiteRep
     return report
 
 
-def suite_closure_desset(r=None, n=None, max_group_size=10_000_000, **_) -> SuiteReport:
+def suite_closure_desset(
+    r=None, n=None, max_group_size=DEFAULT_MAX_GROUP_SIZE, **_
+) -> SuiteReport:
     rr, nn = r or 2, n if n is not None else 2
     report = SuiteReport("closure-desset", {"r": rr, "n": nn})
     partition = desset_partition(rr, nn, max_group_size)
-    record, rep = _closure_record(partition, max_group_size)
+    record, rep = _closure_record(partition)
     report.checks += 1
     report.details["closure"] = record
     if not rep.passed:
@@ -495,7 +466,9 @@ def suite_closure_desset(r=None, n=None, max_group_size=10_000_000, **_) -> Suit
 # ---------------------------------------------------------------------------
 # phi and idempotents.
 
-def suite_phi(r=None, n=None, j_max=2, max_group_size=10_000_000, **_) -> SuiteReport:
+def suite_phi(
+    r=None, n=None, j_max=2, max_group_size=DEFAULT_MAX_GROUP_SIZE, **_
+) -> SuiteReport:
     combos = [(r, n)] if r is not None and n is not None else list(IDEMPOTENT_GROUPS)
     pairs = [(x, y) for x in range(j_max + 1) for y in range(j_max + 1)]
     report = SuiteReport("phi", {"groups": combos, "pairs": pairs})
@@ -506,12 +479,14 @@ def suite_phi(r=None, n=None, j_max=2, max_group_size=10_000_000, **_) -> SuiteR
     return report
 
 
-def suite_idempotents(r=None, n=None, max_group_size=10_000_000, **_) -> SuiteReport:
+def suite_idempotents(
+    r=None, n=None, max_group_size=DEFAULT_MAX_GROUP_SIZE, **_
+) -> SuiteReport:
     combos = [(r, n)] if r is not None and n is not None else list(IDEMPOTENT_GROUPS)
     report = SuiteReport("idempotents", {"groups": combos})
     for rr, nn in combos:
         partition = des_partition(rr, nn, max_group_size)
-        closure = verify_closure(partition, max_group_size)
+        closure = verify_closure(partition)
         if not closure.passed:
             report.failures.append({"r": rr, "n": nn, "closure": False})
             continue
@@ -556,7 +531,9 @@ def suite_idempotents(r=None, n=None, max_group_size=10_000_000, **_) -> SuiteRe
 # ---------------------------------------------------------------------------
 # variants: scan boundary-letter descent definitions.
 
-def suite_variants(r=None, n=None, max_group_size=10_000_000, **_) -> SuiteReport:
+def suite_variants(
+    r=None, n=None, max_group_size=DEFAULT_MAX_GROUP_SIZE, **_
+) -> SuiteReport:
     rr, nn = r or 2, n if n is not None else 2
     report = SuiteReport("variants", {"r": rr, "n": nn})
     standard = des_partition(rr, nn, max_group_size)
@@ -567,24 +544,16 @@ def suite_variants(r=None, n=None, max_group_size=10_000_000, **_) -> SuiteRepor
             partition = variant_partition(rr, nn, a, b, max_group_size)
             blocks = {frozenset(info.members) for info in partition.classes}
             same = blocks == standard_blocks
-            closed = verify_closure(partition, max_group_size).passed
+            closed = verify_closure(partition).passed
             results.append(
                 {"a": a, "b": b, "equals_standard": same, "closure": closed}
             )
-            if (rr, nn) == (2, 2):
-                report.checks += 1
-                if closed != same:
-                    report.failures.append(results[-1])
+            report.checks += 1
+            if closed != same:
+                report.failures.append(results[-1])
     report.details["scan"] = results
     return report
 
-
-_WORKERS = {
-    "ftcpp": _ftcpp_case,
-    "order-poly": _order_poly_case,
-    "lemma": _lemma_case,
-    "barred": _barred_case,
-}
 
 _SUITES = {
     "ftcpp": suite_ftcpp,

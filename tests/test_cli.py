@@ -67,9 +67,20 @@ class TestExitCodes:
         code, out, _ = run(capsys, "verify", "closure-desset", "--r", "2", "--n", "2")
         assert code == 3
         assert "witness" in out
+        # a run that makes no check is not a pass
+        code, out, _ = run(capsys, "verify", "ftcpp", "--cases", "0")
+        assert code == 3
+        assert "FAIL (0 checks" in out
 
     def test_pass(self, capsys):
         assert main(["verify", "variants", "--r", "2", "--n", "2"]) == 0
+
+    def test_product_cap_is_not_group_cap(self, capsys):
+        # 48^2 products stay under the fixed product cap; the group cap of
+        # 100 bounds only the group of order 48
+        argv = ["verify", "closure-des", "--r", "2", "--n", "3"]
+        assert main(argv + ["--max-group-size", "100"]) == 0
+        assert main(argv + ["--max-group-size", "10"]) == 2
 
     def test_lemma_suites_honour_group_cap(self, capsys):
         for suite in ("zigzag", "chain"):
@@ -143,25 +154,31 @@ class TestVerifyReports:
         assert normalized() == normalized()
 
     def test_jobs_do_not_change_output(self, capsys):
-        def results(jobs):
-            _, out, _ = run(
-                capsys,
-                "verify",
-                "ftcpp",
-                "--r",
-                "2",
-                "--seed",
-                "3",
-                "--cases",
-                "6",
-                "--jobs",
-                jobs,
-                "--format",
-                "json",
+        def results(jobs, *argv):
+            code, out, _ = run(
+                capsys, "verify", *argv, "--jobs", jobs, "--format", "json"
             )
+            assert code == 0
             return json.loads(out)["results"]
 
-        assert results("1") == results("2")
+        for argv in (
+            ("ftcpp", "--r", "2", "--seed", "3", "--cases", "6"),
+            ("order-poly", "--r", "2", "--n", "2"),
+            ("zigzag",),  # the default sweep: nine groups, so nine cases
+            ("barred", "--r", "2", "--n", "2", "--j", "0..2", "--k", "2"),
+        ):
+            assert results("1", *argv) == results("2", *argv), argv
+
+    def test_barred_miscount_is_reported(self, capsys, monkeypatch):
+        # a wrong barred-chain count must reach the report as a witness
+        monkeypatch.setattr("colored_descents.ppartitions.omega_word", lambda w, j: 0)
+        code, out, _ = run(
+            capsys, "verify", "barred", "--r", "2", "--n", "2", "--format", "json"
+        )
+        assert code == 3
+        results = json.loads(out)["results"]
+        assert results["passed"] is False
+        assert results["failures"][0]["barred"] == "0"
 
     def test_witness_emitted_on_failure(self, capsys):
         code, out, _ = run(
@@ -276,9 +293,8 @@ class TestVerifyIdempotentsEndToEnd:
 
 
 class TestVariantScanScope:
-    def test_other_groups_report_without_asserting(self, capsys):
-        # the pass-iff-standard assertion is made only on the 2-colored
-        # group of 2 letters; elsewhere the scan is informational
+    def test_other_groups_are_asserted(self, capsys):
+        # closed iff equal to the standard partition, asserted at every group
         code, out, _ = run(
             capsys, "verify", "variants", "--r", "3", "--n", "2", "--format", "json"
         )
@@ -286,11 +302,15 @@ class TestVariantScanScope:
         report = json.loads(out)
         scan = report["results"]["details"]["scan"]
         assert len(scan) == 9
-        assert report["results"]["checks"] == 0
+        assert report["results"]["checks"] == 9
 
-    def test_bad_caps_are_usage_errors(self, capsys):
+    def test_bad_caps_are_usage_errors(self, capsys, monkeypatch):
         assert main(["enumerate", "--r", "2", "--n", "2", "--max-group-size", "0"]) == 1
         assert main(["verify", "variants", "--jobs", "0"]) == 1
         assert main(["verify", "barred", "--r", "2", "--n", "2", "--k", "-1"]) == 1
         assert main(["verify", "barred", "--r", "2", "--n", "2", "--j=-1"]) == 1
         assert main(["verify", "closure-des", "--r", "2", "--n", "2", "--cache", "x"]) == 1
+        assert main(["verify", "phi", "--r", "2", "--n", "2", "--j", "3..1"]) == 1
+        assert main(["order-poly", "--pi", "2_1 1_1", "--r", "2", "--j", "3..1"]) == 1
+        monkeypatch.setenv("COLORED_DESCENTS_K", "abc")
+        assert main(["verify", "phi", "--r", "1", "--n", "1"]) == 1

@@ -14,18 +14,22 @@ falling factorials divided by n!, the unique polynomial extension.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence, Union
 
 from .group import (
     DEFAULT_MAX_GROUP_SIZE,
     ColoredLetter,
     ColoredPermutation,
+    GroupTable,
     SizeCapExceeded,
     Word,
     descent_positions,
     enumerate_group,
+    group_table,
     identity,
     mr_key,
     word_des,
@@ -135,23 +139,58 @@ def algebra_multiply(
     b: GroupAlgebraElement,
     max_pairs: int = DEFAULT_MAX_PAIRS,
 ) -> GroupAlgebraElement:
-    """Convolution product: coefficient of pi is sum over st = pi of a[s] b[t]."""
+    """Convolution product: coefficient of pi is sum over st = pi of a[s] b[t].
+
+    Each operand's support is grouped by coefficient value, so the
+    coefficient of p is the sum of u * v * #{(s, t) : st = p, a[s] = u,
+    b[t] = v}, the counts coming from ``_convolve``.
+    """
     _check_same_group(a, b)
     if a.support_size() * b.support_size() > max_pairs:
         raise SizeCapExceeded(
             f"product support {a.support_size()}x{b.support_size()} exceeds cap"
         )
-    r = a.r
-    coeffs: dict[Word, Scalar] = {}
-    for ws, cs in a.coeffs.items():
-        for wt, ct in b.coeffs.items():
-            out = []
-            for pc, pv in wt:
-                sc, sv = ws[pv - 1]
-                out.append(((pc + sc) % r, sv))
-            w = tuple(out)
-            coeffs[w] = coeffs.get(w, 0) + cs * ct
-    return GroupAlgebraElement(a.r, a.n, coeffs)
+    table = group_table(a.r, a.n)
+    right = _value_groups(table, b)
+    right_ranks = [ranks for _, ranks in right]
+    coeffs: dict[int, Scalar] = {}
+    for u, left in _value_groups(table, a):
+        for (v, _), counts in zip(right, _convolve(table, left, right_ranks)):
+            uv = u * v
+            for p, m in counts.items():
+                coeffs[p] = coeffs.get(p, 0) + uv * m
+    return GroupAlgebraElement(
+        a.r, a.n, {table.word(p): c for p, c in coeffs.items()}
+    )
+
+
+def _value_groups(
+    table: GroupTable, a: GroupAlgebraElement
+) -> list[tuple[Scalar, list[int]]]:
+    """The support of a as ranks, grouped by coefficient value."""
+    groups: dict[Scalar, list[int]] = {}
+    for w, c in a.coeffs.items():
+        groups.setdefault(c, []).append(table.rank(w))
+    return list(groups.items())
+
+
+def _convolve(
+    table: GroupTable, left: Sequence[int], rights: Sequence[Sequence[int]]
+) -> list[Counter]:
+    """For each rank set T in rights, how often s*t = p over s in left, t in T.
+
+    Each left row is built once and every right set is gathered from it,
+    so the per-pair work runs in C.
+    """
+    gathers = [itemgetter(*ranks) for ranks in rights]
+    singles = [len(ranks) == 1 for ranks in rights]
+    counts = [Counter() for _ in rights]
+    for s in left:
+        row = table.left_row(s)
+        for count, gather, single in zip(counts, gathers, singles):
+            # itemgetter of one index returns the item, not a 1-tuple
+            count.update((gather(row),) if single else gather(row))
+    return counts
 
 
 @dataclass(frozen=True)
@@ -348,36 +387,54 @@ def verify_closure(
 ) -> ClosureReport:
     """Check every product of two class sums against the span of the sums.
 
-    Multiplies each ordered pair of class sums (|G|^2 compositions in all)
-    and tests the product for constancy on every class.  A failing pair
-    reports the first differing member of its first non-constant class.
-    When all pairs pass, their span vectors form the structure-constant
-    tensor carried on the report.
+    Multiplies each ordered pair of class sums (|G|^2 compositions in all),
+    one left class at a time, and tests the product for constancy on every
+    class.  A failing pair reports the first differing member of its first
+    non-constant class.  When all pairs pass, their span vectors form the
+    structure-constant tensor carried on the report.
     """
     if len(partition.order) ** 2 > max_pairs:
         raise SizeCapExceeded(
             f"{len(partition.order)}^2 products exceed cap {max_pairs}"
         )
-    sums = partition.class_sums()
+    table = group_table(partition.r, partition.n)
+    classes = [[table.rank(w) for w in info.members] for info in partition.classes]
     failures = []
     tensor = []
-    for j, left in enumerate(sums):
+    for j, left in enumerate(classes):
         row = []
-        for k, right in enumerate(sums):
-            check = is_in_span(algebra_multiply(left, right, max_pairs), partition)
-            if check.in_span:
-                row.append(list(check.vector))
+        for k, counts in enumerate(_convolve(table, left, classes)):
+            vector, witness = _span_vector(counts, classes)
+            if witness is None:
+                row.append(vector)
             else:
-                failures.append(ClosureFailure(j, k, check.witness))
+                s, t, cs, ct = witness
+                failures.append(
+                    ClosureFailure(j, k, (table.word(s), table.word(t), cs, ct))
+                )
         tensor.append(row)
     return ClosureReport(
         partition.kind,
         partition.r,
         partition.n,
-        len(sums) ** 2,
+        len(classes) ** 2,
         tuple(failures),
         None if failures else tensor,
     )
+
+
+def _span_vector(counts: Counter, classes: list[list[int]]) -> tuple:
+    """``(vector, None)`` if counts is constant on every class, else
+    ``(None, (rank1, rank2, count1, count2))`` for the first differing member
+    of the first non-constant class."""
+    vector = []
+    for members in classes:
+        ref = counts[members[0]]
+        for t in members[1:]:
+            if counts[t] != ref:
+                return None, (members[0], t, ref, counts[t])
+        vector.append(ref)
+    return vector, None
 
 
 class VerificationFailedClosure(RuntimeError):

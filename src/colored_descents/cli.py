@@ -123,6 +123,12 @@ def _validate_common(args: argparse.Namespace) -> None:
         raise UsageError("--jobs must be at least 1")
     if args.k < 0 or any(j < 0 for j in _parse_j_range(args.j)):
         raise UsageError("--j and --k must be nonnegative")
+    if args.r is not None and args.r < 1:
+        raise UsageError("--r must be at least 1")
+    if args.n is not None and args.n < 0:
+        raise UsageError("--n must be nonnegative")
+    if args.cases < 0:
+        raise UsageError("--cases must be nonnegative")
 
 
 def _emit(text: str, output: Optional[str]) -> None:

@@ -14,6 +14,7 @@ final letter of nonzero color counting as a descent at position n.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -165,6 +166,100 @@ def group_elements(
     r: int, n: int, max_size: int = DEFAULT_MAX_GROUP_SIZE
 ) -> list[ColoredPermutation]:
     return list(enumerate_group(r, n, max_size))
+
+
+class GroupTable:
+    """Integer multiplication table of G(r, n) = (Z_r)^n ⋊ S_n.
+
+    An element's rank is its position in ``enumerate_group`` order: the
+    lexicographic index p of its value permutation times r^n plus the
+    base-r index c of its color vector.  For s = (p, c) and t = (q, d),
+    ``compose`` gives s*t the value permutation p∘q and the color vector
+    d + (c permuted by q), so the product is read off three small tables:
+    value products (n! x n!), color vectors permuted by a value
+    permutation (r^n x n!) and color addition mod r (r^n x r^n).  Their
+    rows are built on first use, since a product of small supports in a
+    large group touches only a few of them.  Product rows are gathered
+    from shared lists of the rank ints, one block per value permutation,
+    so building a row allocates no int objects.
+    """
+
+    def __init__(self, r: int, n: int) -> None:
+        if r < 1 or n < 0:
+            raise ValueError("need r >= 1 and n >= 0")
+        self.r, self.n = r, n
+        self._perms = list(itertools.permutations(range(1, n + 1)))
+        self._colors = list(itertools.product(range(r), repeat=n))
+        self._perm_index = {p: i for i, p in enumerate(self._perms)}
+        self._color_index = {c: i for i, c in enumerate(self._colors)}
+        size = len(self._colors)
+        # the rank of (p, d) is self._blocks[p][d]
+        self._blocks = [
+            list(range(p * size, (p + 1) * size)) for p in range(len(self._perms))
+        ]
+        self._value_rows: dict[int, list[list[int]]] = {}
+        self._shift_rows: dict[int, list[int]] = {}
+        self._sum_rows: dict[int, list[int]] = {}
+
+    def __len__(self) -> int:
+        return len(self._perms) * len(self._colors)
+
+    def rank(self, word: Word) -> int:
+        """Position of word in ``enumerate_group`` order."""
+        perm = self._perm_index[tuple(v for _, v in word)]
+        return perm * len(self._colors) + self._color_index[tuple(c for c, _ in word)]
+
+    def word(self, rank: int) -> Word:
+        """The word of the given rank; inverse of ``rank``."""
+        p, c = divmod(rank, len(self._colors))
+        return tuple(map(ColoredLetter, self._colors[c], self._perms[p]))
+
+    def left_row(self, s: int) -> list[int]:
+        """``[rank(s*t) for t in range(len(self))]``."""
+        p, c = divmod(s, len(self._colors))
+        row: list[int] = []
+        for block, shifted in zip(self._value_row(p), self._shift_row(c)):
+            row.extend(map(block.__getitem__, self._sum_row(shifted)))
+        return row
+
+    def _value_row(self, p: int) -> list[list[int]]:
+        """The rank block of p∘q, for every value permutation q."""
+        row = self._value_rows.get(p)
+        if row is None:
+            sigma = self._perms[p]
+            row = self._value_rows[p] = [
+                self._blocks[self._perm_index[tuple(sigma[v - 1] for v in q)]]
+                for q in self._perms
+            ]
+        return row
+
+    def _shift_row(self, c: int) -> list[int]:
+        """Index of color vector c permuted by q, for every q."""
+        row = self._shift_rows.get(c)
+        if row is None:
+            colors = self._colors[c]
+            row = self._shift_rows[c] = [
+                self._color_index[tuple(colors[v - 1] for v in q)]
+                for q in self._perms
+            ]
+        return row
+
+    def _sum_row(self, c: int) -> list[int]:
+        """Index of color vector c + d mod r, for every d."""
+        row = self._sum_rows.get(c)
+        if row is None:
+            colors, r = self._colors[c], self.r
+            row = self._sum_rows[c] = [
+                self._color_index[tuple((a + b) % r for a, b in zip(colors, d))]
+                for d in self._colors
+            ]
+        return row
+
+
+@functools.lru_cache(maxsize=8)
+def group_table(r: int, n: int) -> GroupTable:
+    """The shared multiplication table of G(r, n)."""
+    return GroupTable(r, n)
 
 
 def internal_descent_positions(word: Word) -> frozenset[int]:

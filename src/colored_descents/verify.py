@@ -82,6 +82,7 @@ CLOSURE_DES_SWEEP = tuple(
     (r, n) for r in (1, 2, 3) for n in (1, 2, 3, 4)
 ) + ((4, 3),)
 CLOSURE_MR_SWEEP = ((2, 2), (3, 2))
+LEMMA_SWEEP = tuple((r, n) for r in (1, 2, 3) for n in (1, 2, 3))
 
 # Reference idempotent table for the 5-colored group on 3 letters:
 # numerators of the coefficient of each descent class sum, all over 750.
@@ -140,6 +141,16 @@ class SuiteReport:
 
     def to_json(self) -> dict:
         return {**asdict(self), "passed": self.passed}
+
+
+def _groups(r: int | None, n: int | None, sweep: tuple) -> list[tuple[int, int]]:
+    """The single group G(r, n), or the suite's default sweep when neither
+    is given."""
+    if r is None and n is None:
+        return list(sweep)
+    if r is None or n is None:
+        raise ValueError("give both --r and --n, or neither for the default sweep")
+    return [(r, n)]
 
 
 def _run_cases(
@@ -271,10 +282,7 @@ def _lemma_case(r: int, n: int, mode: str, max_group_size: int) -> dict:
 
 
 def _lemma_suite(mode: str, r, n, jobs, max_group_size) -> SuiteReport:
-    if r is not None and n is not None:
-        combos = [(r, n)]
-    else:
-        combos = [(rr, nn) for rr in (1, 2, 3) for nn in (1, 2, 3)]
+    combos = _groups(r, n, LEMMA_SWEEP)
     report = SuiteReport(mode, {"groups": combos})
     case_list = [(rr, nn, mode, max_group_size) for rr, nn in combos]
     _run_cases(report, _lemma_case, case_list, jobs)
@@ -409,7 +417,7 @@ def _closure_record(partition: ClassPartition) -> tuple[dict, object]:
 def suite_closure_des(
     r=None, n=None, max_group_size=DEFAULT_MAX_GROUP_SIZE, **_
 ) -> SuiteReport:
-    combos = [(r, n)] if r is not None and n is not None else list(CLOSURE_DES_SWEEP)
+    combos = _groups(r, n, CLOSURE_DES_SWEEP)
     report = SuiteReport("closure-des", {"groups": combos})
     for rr, nn in combos:
         partition = des_partition(rr, nn, max_group_size)
@@ -431,7 +439,7 @@ def suite_closure_des(
 def suite_closure_mr(
     r=None, n=None, max_group_size=DEFAULT_MAX_GROUP_SIZE, **_
 ) -> SuiteReport:
-    combos = [(r, n)] if r is not None and n is not None else list(CLOSURE_MR_SWEEP)
+    combos = _groups(r, n, CLOSURE_MR_SWEEP)
     report = SuiteReport("closure-mr", {"groups": combos})
     for rr, nn in combos:
         partition = mr_partition(rr, nn, max_group_size)
@@ -469,7 +477,7 @@ def suite_closure_desset(
 def suite_phi(
     r=None, n=None, j_max=2, max_group_size=DEFAULT_MAX_GROUP_SIZE, **_
 ) -> SuiteReport:
-    combos = [(r, n)] if r is not None and n is not None else list(IDEMPOTENT_GROUPS)
+    combos = _groups(r, n, IDEMPOTENT_GROUPS)
     pairs = [(x, y) for x in range(j_max + 1) for y in range(j_max + 1)]
     report = SuiteReport("phi", {"groups": combos, "pairs": pairs})
     for rr, nn in combos:
@@ -482,7 +490,7 @@ def suite_phi(
 def suite_idempotents(
     r=None, n=None, max_group_size=DEFAULT_MAX_GROUP_SIZE, **_
 ) -> SuiteReport:
-    combos = [(r, n)] if r is not None and n is not None else list(IDEMPOTENT_GROUPS)
+    combos = _groups(r, n, IDEMPOTENT_GROUPS)
     report = SuiteReport("idempotents", {"groups": combos})
     for rr, nn in combos:
         partition = des_partition(rr, nn, max_group_size)

@@ -1,9 +1,13 @@
 from fractions import Fraction
+from operator import itemgetter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from colored_descents.group import (
     ColoredPermutation,
+    _compose_words,
     compose,
     enumerate_group,
     group_order,
@@ -13,6 +17,7 @@ from colored_descents.group import (
     word_des,
 )
 from colored_descents.algebra import (
+    GroupAlgebraElement,
     RationalPolynomial,
     algebra_add,
     algebra_multiply,
@@ -94,6 +99,39 @@ class TestElementArithmetic:
             rational_binom(0.5, 2)
 
 
+def naive_product(a, b):
+    """The word-level convolution: one composition per pair of support words."""
+    coeffs = {}
+    for ws, cs in a.coeffs.items():
+        for wt, ct in b.coeffs.items():
+            w = _compose_words(a.r, ws, wt)
+            coeffs[w] = coeffs.get(w, 0) + cs * ct
+    return GroupAlgebraElement(a.r, a.n, coeffs)
+
+
+@st.composite
+def element_pair(draw):
+    """Two elements of one G(r, n); coefficients are either drawn from a few
+    values of both signs, so that products cancel, or all distinct, so that
+    grouping the support by value saves nothing."""
+    r = draw(st.integers(1, 3))
+    n = draw(st.integers(0, 3))
+    words = [pi.letters for pi in enumerate_group(r, n)]
+
+    def element():
+        if draw(st.booleans()):
+            values = st.sampled_from([Fraction(1), Fraction(-1), Fraction(1, 2)])
+            unique_by = itemgetter(0)
+        else:
+            values = st.fractions(-5, 5, max_denominator=6)
+            unique_by = (itemgetter(0), itemgetter(1))
+        terms = draw(st.lists(st.tuples(st.sampled_from(words), values),
+                              unique_by=unique_by, max_size=len(words)))
+        return GroupAlgebraElement(r, n, dict(terms))
+
+    return element(), element()
+
+
 class TestMultiply:
     def test_unit_law(self):
         for pi in enumerate_group(2, 2):
@@ -122,6 +160,25 @@ class TestMultiply:
         _, sums = class_sums_des(1, 2)
         total = algebra_add(sums[0], sums[1])
         assert algebra_multiply(total, total) == algebra_scale(total, 2)
+
+    @given(element_pair())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_naive_product(self, pair):
+        a, b = pair
+        assert algebra_multiply(a, b) == naive_product(a, b)
+
+    def test_cancellation_drops_zero_terms(self):
+        # (s - s') * (t + t') with s t = s' t': the common product cancels
+        s, s2, t = (
+            parse_one_line(w, 3) for w in ("2_1 1_0 3_2", "3_0 1_1 2_1", "1_2 3_0 2_1")
+        )
+        t2 = compose(inverse(s2), compose(s, t))
+        a = algebra_add(delta(s), algebra_scale(delta(s2), -1))
+        b = algebra_add(delta(t), delta(t2))
+        product = algebra_multiply(a, b)
+        assert product == naive_product(a, b)
+        assert product.support_size() == 2
+        assert product.coefficient(compose(s, t)) == 0
 
 
 class TestClassSums:
@@ -230,13 +287,6 @@ class TestStructureConstants:
     def test_trivial_group(self):
         tensor = structure_constants(des_partition(1, 1))
         assert tensor == [[[1]]]
-
-    def test_matches_naive_product(self):
-        partition, sums = class_sums_des(2, 2)
-        tensor = structure_constants(partition)
-        prod = algebra_multiply(sums[0], sums[0])
-        vector = is_in_span(prod, partition).vector
-        assert list(vector) == tensor[0][0]
 
     def test_mass_identity(self):
         partition = des_partition(3, 2)

@@ -104,6 +104,23 @@ class TestExitCodes:
             assert proc.returncode == 3, module
             assert "witness" in proc.stdout
 
+    def test_cli_import_stays_light(self):
+        # numpy or sympy at start-up would add to every command's time and memory
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(colored_descents.__file__).parents[1]), env.get("PYTHONPATH", "")]
+        )
+        code = (
+            "import sys, colored_descents.cli; "
+            "print(sorted({'numpy', 'sympy'} & set(sys.modules)))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
 
 class TestVerifyReports:
     def test_json_envelope(self, capsys):
@@ -312,5 +329,18 @@ class TestVariantScanScope:
         assert main(["verify", "closure-des", "--r", "2", "--n", "2", "--cache", "x"]) == 1
         assert main(["verify", "phi", "--r", "2", "--n", "2", "--j", "3..1"]) == 1
         assert main(["order-poly", "--pi", "2_1 1_1", "--r", "2", "--j", "3..1"]) == 1
+        assert main(["verify", "barred", "--r", "0", "--n", "2"]) == 1
+        assert main(["verify", "steingrimsson", "--r", "0", "--n", "1"]) == 1
+        assert main(["verify", "closure-des", "--r", "2", "--n", "-1"]) == 1
+        assert main(["verify", "ftcpp", "--cases", "-3"]) == 1
         monkeypatch.setenv("COLORED_DESCENTS_K", "abc")
         assert main(["verify", "phi", "--r", "1", "--n", "1"]) == 1
+
+    def test_half_given_group_is_a_usage_error(self, capsys):
+        # a sweep suite takes G(r, n) only from both flags; one alone used to
+        # be ignored in favour of the whole default sweep
+        sweep_suites = ("closure-des", "closure-mr", "phi", "idempotents", "zigzag", "chain")
+        for suite in sweep_suites:
+            assert main(["verify", suite, "--r", "2"]) == 1, suite
+            assert main(["verify", suite, "--n", "2"]) == 1, suite
+        assert "both --r and --n" in capsys.readouterr().err

@@ -1,10 +1,11 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from colored_descents.group import (
     ColoredLetter,
     ColoredPermutation,
+    GroupTable,
     SizeCapExceeded,
     compose,
     descent_profile,
@@ -233,6 +234,22 @@ def test_inverse_law(pi):
 def test_text_and_json_round_trip(pi):
     assert parse_one_line(str(pi), pi.r) == pi
     assert permutation_from_json(permutation_to_json(pi)) == pi
+
+
+@given(small_group_element(r_max=4))
+@example(identity(1, 0))
+@example(identity(1, 1))
+@example(identity(1, 3))
+@settings(max_examples=60, deadline=None)
+def test_group_table_matches_compose(s):
+    table = GroupTable(s.r, s.n)
+    elements = group_elements(s.r, s.n)
+    # ranks are enumeration positions, and word() inverts rank()
+    assert [table.rank(pi.letters) for pi in elements] == list(range(len(elements)))
+    assert [table.word(i) for i in range(len(table))] == [pi.letters for pi in elements]
+    assert table.word(table.rank(s.letters)) == s.letters
+    row = table.left_row(table.rank(s.letters))
+    assert row == [table.rank(compose(s, t).letters) for t in elements]
 
 
 class TestValidation:

@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .group import (
     DEFAULT_MAX_GROUP_SIZE,
@@ -223,10 +223,17 @@ class ClassPartition:
     order: tuple[Word, ...] = field(compare=False)
 
     def class_sums(self) -> list[GroupAlgebraElement]:
-        return [
-            GroupAlgebraElement(self.r, self.n, {w: 1 for w in info.members})
-            for info in self.classes
-        ]
+        return [_class_element(self, {info.label: 1}) for info in self.classes]
+
+
+def _class_element(partition: ClassPartition, coords: Mapping) -> GroupAlgebraElement:
+    """Every member of a class weighted by ``coords[label]``; a label missing
+    from coords weights its class by 0."""
+    return GroupAlgebraElement(partition.r, partition.n, {
+        w: coords[info.label]
+        for info in partition.classes if info.label in coords
+        for w in info.members
+    })
 
 
 def partition_by(
@@ -264,13 +271,7 @@ def class_sums_des(
     element, so the list always has n + 1 entries.
     """
     partition = des_partition(r, n, max_size)
-    by_des = {info.label: info for info in partition.classes}
-    sums = []
-    for d in range(n + 1):
-        info = by_des.get(d)
-        members = info.members if info else ()
-        sums.append(GroupAlgebraElement(r, n, {w: 1 for w in members}))
-    return partition, sums
+    return partition, [_class_element(partition, {d: 1}) for d in range(n + 1)]
 
 
 def mr_partition(
@@ -332,15 +333,10 @@ def is_in_span(a: GroupAlgebraElement, partition: ClassPartition) -> SpanCheck:
     """
     if (a.r, a.n) != (partition.r, partition.n):
         raise ValueError("element and partition live on different groups")
-    vector = []
-    for info in partition.classes:
-        ref = a.coeffs.get(info.representative, 0)
-        for w in info.members[1:]:
-            c = a.coeffs.get(w, 0)
-            if c != ref:
-                return SpanCheck(None, (info.representative, w, ref, c))
-        vector.append(ref)
-    return SpanCheck(tuple(vector), None)
+    vector, witness = _span_vector(
+        a.coeffs, [info.members for info in partition.classes]
+    )
+    return SpanCheck(None if vector is None else tuple(vector), witness)
 
 
 @dataclass(frozen=True)
@@ -423,16 +419,17 @@ def verify_closure(
     )
 
 
-def _span_vector(counts: Counter, classes: list[list[int]]) -> tuple:
-    """``(vector, None)`` if counts is constant on every class, else
-    ``(None, (rank1, rank2, count1, count2))`` for the first differing member
-    of the first non-constant class."""
+def _span_vector(coeffs: Mapping, classes: Sequence[Sequence]) -> tuple:
+    """``(vector, None)`` if coeffs is constant on every class of keys, else
+    ``(None, (key1, key2, coeff1, coeff2))`` for the first differing member
+    of the first non-constant class.  Keys are words or ranks alike."""
     vector = []
     for members in classes:
-        ref = counts[members[0]]
-        for t in members[1:]:
-            if counts[t] != ref:
-                return None, (members[0], t, ref, counts[t])
+        ref = coeffs.get(members[0], 0)
+        for key in members[1:]:
+            c = coeffs.get(key, 0)
+            if c != ref:
+                return None, (members[0], key, ref, c)
         vector.append(ref)
     return vector, None
 
@@ -552,19 +549,15 @@ def structure_poly_eval(
     Integer x >= 0 keeps integer coefficients; rational x uses the falling
     factorial extension.
     """
-    by_des = _phi_class_coefficients(r, n, x)
-    coeffs: dict[Word, Scalar] = {}
-    for pi in enumerate_group(r, n, max_size):
-        w = pi.letters
-        coeffs[w] = by_des[word_des(w)]
-    return GroupAlgebraElement(r, n, coeffs)
+    by_des = _phi_class_coefficients(n, x)
+    return _class_element(des_partition(r, n, max_size), by_des)
 
 
-def _phi_class_coefficients(r: int, n: int, x: Scalar) -> list[Scalar]:
+def _phi_class_coefficients(n: int, x: Scalar) -> dict[int, Scalar]:
     _require_exact(x)
     if isinstance(x, int) and x >= 0:
-        return [math.comb(x + n - d, n) if x + n - d >= n else 0 for d in range(n + 1)]
-    return [rational_binom(Fraction(x) + n - d, n) for d in range(n + 1)]
+        return {d: math.comb(x + n - d, n) for d in range(n + 1)}
+    return {d: rational_binom(Fraction(x) + n - d, n) for d in range(n + 1)}
 
 
 def verify_phi_identity(
@@ -574,15 +567,17 @@ def verify_phi_identity(
     max_size: int = DEFAULT_MAX_GROUP_SIZE,
 ) -> bool:
     """Whether phi(x) phi(y) = phi(r x y + x + y) for every supplied pair."""
+    partition = des_partition(r, n, max_size)
+
+    def phi(x: Scalar) -> GroupAlgebraElement:
+        return _class_element(partition, _phi_class_coefficients(n, x))
+
     for x, y in pairs:
-        left = algebra_multiply(
-            structure_poly_eval(r, n, x, max_size),
-            structure_poly_eval(r, n, y, max_size),
-        )
+        left = algebra_multiply(phi(x), phi(y))
         z = r * Fraction(x) * Fraction(y) + Fraction(x) + Fraction(y)
         if z.denominator == 1:
             z = int(z)
-        if left != structure_poly_eval(r, n, z, max_size):
+        if left != phi(z):
             return False
     return True
 
@@ -602,16 +597,11 @@ def eulerian_idempotents(
     r: int, n: int, max_size: int = DEFAULT_MAX_GROUP_SIZE
 ) -> list[GroupAlgebraElement]:
     """The n+1 orthogonal idempotents c_i = sum_d alpha[i][d] C_d."""
-    table = idempotent_class_table(r, n)
-    _, sums = class_sums_des(r, n, max_size)
-    out = []
-    for i in range(n + 1):
-        element = algebra_zero(r, n)
-        for d in range(n + 1):
-            if table[i][d] != 0:
-                element = algebra_add(element, algebra_scale(sums[d], table[i][d]))
-        out.append(element)
-    return out
+    partition = des_partition(r, n, max_size)
+    return [
+        _class_element(partition, dict(enumerate(row)))
+        for row in idempotent_class_table(r, n)
+    ]
 
 
 def tensor_mass_check(

@@ -133,8 +133,11 @@ def _validate_common(args: argparse.Namespace) -> None:
 
 def _emit(text: str, output: Optional[str]) -> None:
     if output:
-        with open(output, "w") as handle:
-            handle.write(text)
+        try:
+            with open(output, "w") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write --output {output}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -150,13 +153,12 @@ def _csv_line(fields: Sequence[object]) -> str:
 def cmd_enumerate(args: argparse.Namespace) -> int:
     r = args.r if args.r is not None else 2
     n = args.n if args.n is not None else 2
-    records = []
-    runs = []
-    for rank, pi in enumerate(enumerate_group(r, n, args.max_group_size)):
-        profile = descent_profile(pi)
-        key = mr_key(pi)
-        runs.append(str(key))
-        records.append(
+    rows = (
+        (rank, pi, descent_profile(pi), mr_key(pi))
+        for rank, pi in enumerate(enumerate_group(r, n, args.max_group_size))
+    )
+    if args.format == "json":
+        records = [
             {
                 "rank": rank,
                 "word": str(pi),
@@ -166,34 +168,27 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
                 "intdes": profile.intdes,
                 "mr_key": [list(part) for part in key.parts],
             }
-        )
-    if args.format == "json":
+            for rank, pi, profile, key in rows
+        ]
         for record in records:
             schemas.validate(record, "enumerate_record")
         _emit(_dump_json(records), args.output)
-    elif args.format == "csv":
+        return EXIT_OK
+    if args.format == "csv":
         lines = [_csv_line(["rank", "word", "descent_set", "des", "intdes", "mr_key"])]
-        for rec, run in zip(records, runs):
-            lines.append(
-                _csv_line(
-                    [
-                        rec["rank"],
-                        rec["word"],
-                        " ".join(map(str, rec["descent_set"])),
-                        rec["des"],
-                        rec["intdes"],
-                        run,
-                    ]
-                )
-            )
-        _emit("".join(lines), args.output)
+        lines.extend(
+            _csv_line([rank, pi, " ".join(map(str, sorted(profile.descent_set))),
+                       profile.des, profile.intdes, key])
+            for rank, pi, profile, key in rows
+        )
     else:
         lines = [
-            f"{rec['rank']:>6}  {rec['word']:<24} Des={sorted(rec['descent_set'])} "
-            f"des={rec['des']} intdes={rec['intdes']} runs={rec['mr_key']}\n"
-            for rec in records
+            f"{rank:>6}  {str(pi):<24} Des={sorted(profile.descent_set)} "
+            f"des={profile.des} intdes={profile.intdes} "
+            f"runs={[list(part) for part in key.parts]}\n"
+            for rank, pi, profile, key in rows
         ]
-        _emit("".join(lines), args.output)
+    _emit("".join(lines), args.output)
     return EXIT_OK
 
 

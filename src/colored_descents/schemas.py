@@ -5,8 +5,6 @@ referenced from the README.
 """
 from __future__ import annotations
 
-import jsonschema
-
 _FRACTION = {"type": "string", "pattern": "^-?[0-9]+(/[0-9]+)?$"}
 _DECIMAL = {"type": "string", "pattern": "^-?[0-9]+$"}
 
@@ -143,11 +141,13 @@ SCHEMAS = {
 }
 
 
-_VALIDATORS: dict[str, jsonschema.protocols.Validator] = {}
+_VALIDATORS: dict[str, object] = {}
 
 
 def validate(obj: object, schema_name: str) -> None:
     """Validate before writing; raises jsonschema.ValidationError."""
+    import jsonschema  # here, so that commands writing no JSON skip the import
+
     validator = _VALIDATORS.get(schema_name)
     if validator is None:
         validator = jsonschema.Draft202012Validator(SCHEMAS[schema_name])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import colored_descents.algebra
 from colored_descents.group import (
     ColoredPermutation,
     _compose_words,
@@ -233,6 +234,13 @@ class TestSpan:
         assert not check.in_span
         w1, w2, c1, c2 = check.witness
         assert c1 != c2
+        # the first differing member of the first non-constant class
+        assert check.witness == (
+            parse_one_line("1_0 2_1", 2).letters,
+            parse_one_line("2_0 1_0", 2).letters,
+            0,
+            1,
+        )
 
     def test_products_stay_in_span(self):
         for r, n in [(r, n) for r in (1, 2, 3) for n in (1, 2, 3)]:
@@ -320,13 +328,33 @@ class TestStructurePolynomial:
     def test_matches_order_polynomial(self):
         from colored_descents.ppartitions import omega_pi
 
-        for j in (0, 1, 2):
-            element = structure_poly_eval(2, 2, j)
-            for pi in enumerate_group(2, 2):
-                assert element.coefficient(pi) == omega_pi(pi, j)
+        for r, n in [(2, 2), (1, 3), (3, 2)]:
+            for j in (0, 1, 2):
+                element = structure_poly_eval(r, n, j)
+                for pi in enumerate_group(r, n):
+                    assert element.coefficient(pi) == omega_pi(pi, j)
+        # a rational argument has no order polynomial; compare the binomial
+        x = Fraction(-2, 3)
+        element = structure_poly_eval(3, 2, x)
+        for pi in enumerate_group(3, 2):
+            assert element.coefficient(pi) == rational_binom(
+                x + 2 - word_des(pi.letters), 2
+            )
 
     def test_functional_equation_small(self):
         assert verify_phi_identity(2, 2, [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2)])
+
+    def test_functional_equation_enumerates_the_group_once(self, monkeypatch):
+        calls = []
+        original = colored_descents.algebra.enumerate_group
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(colored_descents.algebra, "enumerate_group", counting)
+        assert verify_phi_identity(2, 2, [(0, 1), (1, 1), (2, 2)])
+        assert len(calls) == 1
 
     def test_functional_equation_rational_arguments(self):
         assert verify_phi_identity(
@@ -374,6 +402,17 @@ class TestIdempotents:
             for j in range(3):
                 prod = algebra_multiply(idems[i], idems[j])
                 assert prod == (idems[i] if i == j else algebra_zero(2, 2))
+
+    def test_matches_class_sum_combination(self):
+        # c_i accumulated term by term from the class sums C_d
+        for r, n in [(1, 3), (2, 2), (3, 2), (5, 3)]:
+            table = idempotent_class_table(r, n)
+            _, sums = class_sums_des(r, n)
+            for i, element in enumerate(eulerian_idempotents(r, n)):
+                expected = algebra_zero(r, n)
+                for d in range(n + 1):
+                    expected = algebra_add(expected, algebra_scale(sums[d], table[i][d]))
+                assert element == expected, (r, n, i)
 
     def test_empty_class_handling_one_color(self):
         idems = eulerian_idempotents(1, 3)

@@ -104,15 +104,24 @@ class TestExitCodes:
             assert proc.returncode == 3, module
             assert "witness" in proc.stdout
 
+    def test_unwritable_output_is_usage_error(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "out.txt"
+        code, _, err = run(capsys, "eulerian-poly", "--output", str(target))
+        assert code == 1
+        assert err.startswith("error:")
+        assert len(err.splitlines()) == 1
+        assert not target.exists()
+
     def test_cli_import_stays_light(self):
-        # numpy or sympy at start-up would add to every command's time and memory
+        # numpy or sympy at start-up would add to every command's time and
+        # memory; jsonschema is imported only when a JSON document is written
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             [str(Path(colored_descents.__file__).parents[1]), env.get("PYTHONPATH", "")]
         )
         code = (
             "import sys, colored_descents.cli; "
-            "print(sorted({'numpy', 'sympy'} & set(sys.modules)))"
+            "print(sorted({'numpy', 'sympy', 'jsonschema'} & set(sys.modules)))"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True,

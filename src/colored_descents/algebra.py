@@ -22,13 +22,12 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .group import (
     DEFAULT_MAX_GROUP_SIZE,
-    ColoredLetter,
     ColoredPermutation,
     GroupTable,
     SizeCapExceeded,
     Word,
+    _check_order,
     descent_positions,
-    enumerate_group,
     group_table,
     identity,
     mr_key,
@@ -195,9 +194,13 @@ def _convolve(
 
 @dataclass(frozen=True)
 class ClassInfo:
+    """One class: its members as words and as ``GroupTable`` ranks, both in
+    ascending rank order."""
+
     index: int
     label: object
     members: tuple[Word, ...]
+    ranks: tuple[int, ...]
 
     @property
     def size(self) -> int:
@@ -213,7 +216,8 @@ class ClassPartition:
     """A set partition of the group with stable class indexing.
 
     Blocks are nonempty and sorted by label; ``order`` lists the whole
-    group in canonical enumeration order.
+    group in canonical enumeration order, which is ``GroupTable`` rank
+    order, so ``order[p]`` is the word of rank p.
     """
 
     r: int
@@ -242,16 +246,18 @@ def partition_by(
     kind: str,
     label_fn,
     max_size: int = DEFAULT_MAX_GROUP_SIZE,
-    label_sort_key=None,
 ) -> ClassPartition:
-    order = tuple(pi.letters for pi in enumerate_group(r, n, max_size))
-    by_label: dict[object, list[Word]] = {}
-    for w in order:
-        by_label.setdefault(label_fn(w), []).append(w)
-    sorted_labels = sorted(by_label, key=label_sort_key or (lambda x: x))
+    """Classes of the words of G(r, n) with equal ``label_fn(word)``, read
+    off one walk of the group table in rank order and sorted by label."""
+    _check_order(r, n, max_size)  # before the table, which holds |G| ints
+    table = group_table(r, n)
+    order = tuple(map(table.word, range(len(table))))
+    by_label: dict[object, list[int]] = {}
+    for rank, w in enumerate(order):
+        by_label.setdefault(label_fn(w), []).append(rank)
     classes = tuple(
-        ClassInfo(i, label, tuple(by_label[label]))
-        for i, label in enumerate(sorted_labels)
+        ClassInfo(i, label, tuple(map(order.__getitem__, ranks)), tuple(ranks))
+        for i, (label, ranks) in enumerate(sorted(by_label.items()))
     )
     return ClassPartition(r, n, kind, classes, order)
 
@@ -304,11 +310,9 @@ def variant_partition(
     r: int, n: int, a: int, b: int, max_size: int = DEFAULT_MAX_GROUP_SIZE
 ) -> ClassPartition:
     """Partition by the descent count read with boundary letters 0_a, 0_b."""
-    lo, hi = ColoredLetter(a, 0), ColoredLetter(b, 0)
 
     def label(w: Word) -> int:
-        padded = (lo,) + w + (hi,)
-        return sum(padded[i] > padded[i + 1] for i in range(len(w) + 1))
+        return len(descent_positions(w, a, b))
 
     return partition_by(r, n, f"desvar({a},{b})", label, max_size)
 
@@ -394,7 +398,7 @@ def verify_closure(
             f"{len(partition.order)}^2 products exceed cap {max_pairs}"
         )
     table = group_table(partition.r, partition.n)
-    classes = [[table.rank(w) for w in info.members] for info in partition.classes]
+    classes = [info.ranks for info in partition.classes]
     failures = []
     tensor = []
     for j, left in enumerate(classes):
@@ -597,10 +601,14 @@ def eulerian_idempotents(
     r: int, n: int, max_size: int = DEFAULT_MAX_GROUP_SIZE
 ) -> list[GroupAlgebraElement]:
     """The n+1 orthogonal idempotents c_i = sum_d alpha[i][d] C_d."""
-    partition = des_partition(r, n, max_size)
+    return _idempotents(des_partition(r, n, max_size))
+
+
+def _idempotents(partition: ClassPartition) -> list[GroupAlgebraElement]:
+    """``eulerian_idempotents`` read off a descent partition."""
     return [
         _class_element(partition, dict(enumerate(row)))
-        for row in idempotent_class_table(r, n)
+        for row in idempotent_class_table(partition.r, partition.n)
     ]
 
 

@@ -18,6 +18,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from operator import gt
 from typing import Iterator, NamedTuple
 
 DEFAULT_MAX_GROUP_SIZE = 10_000_000
@@ -141,6 +142,16 @@ def group_order(r: int, n: int) -> int:
     return r**n * math.factorial(n)
 
 
+def _check_order(r: int, n: int, max_size: int) -> None:
+    """Reject an invalid (r, n), or a group of order above max_size."""
+    if r < 1 or n < 0:
+        raise ValueError("need r >= 1 and n >= 0")
+    if group_order(r, n) > max_size:
+        raise SizeCapExceeded(
+            f"group of order {group_order(r, n)} exceeds cap {max_size}"
+        )
+
+
 def enumerate_group(
     r: int, n: int, max_size: int = DEFAULT_MAX_GROUP_SIZE
 ) -> Iterator[ColoredPermutation]:
@@ -149,12 +160,7 @@ def enumerate_group(
     Underlying permutations run in lexicographic order; for each, the color
     vector counts in base r with the least significant digit at position n.
     """
-    if r < 1 or n < 0:
-        raise ValueError("need r >= 1 and n >= 0")
-    if group_order(r, n) > max_size:
-        raise SizeCapExceeded(
-            f"group of order {group_order(r, n)} exceeds cap {max_size}"
-        )
+    _check_order(r, n, max_size)
     for values in itertools.permutations(range(1, n + 1)):
         for colors in itertools.product(range(r), repeat=n):
             yield ColoredPermutation(
@@ -262,19 +268,16 @@ def group_table(r: int, n: int) -> GroupTable:
     return GroupTable(r, n)
 
 
-def internal_descent_positions(word: Word) -> frozenset[int]:
-    """Positions i in [1, len-1] with word[i-1] > word[i] color-first."""
-    return frozenset(
-        i for i in range(1, len(word)) if word[i - 1] > word[i]
-    )
+def descent_positions(word: Word, a: int = 0, b: int = 1) -> frozenset[int]:
+    """Positions i in [0, n] with x_i > x_{i+1} color-first, reading the
+    word framed as x_0 = 0_a, x_1..x_n = word, x_{n+1} = 0_b.
 
-
-def descent_positions(word: Word) -> frozenset[int]:
-    """Internal descents plus len(word) when the last color is nonzero."""
-    out = set(internal_descent_positions(word))
-    if word and word[-1][0] != 0:
-        out.add(len(word))
-    return frozenset(out)
+    The default frame (0_0, 0_1) gives the descent set: 0 never occurs, and
+    n occurs exactly when the last color is nonzero.
+    """
+    framed = ((a, 0), *word, (b, 0))
+    descents = map(gt, framed, framed[1:])
+    return frozenset(itertools.compress(itertools.count(), descents))
 
 
 def word_des(word: Word) -> int:
@@ -282,7 +285,8 @@ def word_des(word: Word) -> int:
 
 
 def word_intdes(word: Word) -> int:
-    return len(internal_descent_positions(word))
+    """Descents at positions 1..n-1 only."""
+    return sum(map(gt, word, word[1:]))
 
 
 @dataclass(frozen=True)
@@ -303,7 +307,7 @@ class DescentProfile:
     @classmethod
     def of_word(cls, word: Word) -> "DescentProfile":
         full = descent_positions(word)
-        return cls(full, frozenset(i for i in full if i < len(word)))
+        return cls(full, full - {len(word)})
 
 
 def descent_profile(pi: ColoredPermutation) -> DescentProfile:
@@ -318,8 +322,7 @@ def descent_set_variant(pi: ColoredPermutation, a: int, b: int) -> frozenset[int
     """
     if not 0 <= a < pi.r or not 0 <= b < pi.r:
         raise ValueError(f"boundary colors must lie in [0, {pi.r - 1}]")
-    padded = (ColoredLetter(a, 0),) + pi.letters + (ColoredLetter(b, 0),)
-    return frozenset(i for i in range(pi.n + 1) if padded[i] > padded[i + 1])
+    return descent_positions(pi.letters, a, b)
 
 
 @dataclass(frozen=True)

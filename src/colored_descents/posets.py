@@ -232,11 +232,6 @@ def standardize_word(r: int, word: Word) -> ColoredPermutation:
     )
 
 
-def word_permutation(r: int, word: Word) -> ColoredPermutation:
-    """Interpret a word on values 1..n as a group element (validating)."""
-    return ColoredPermutation(r, tuple(ColoredLetter(*x) for x in word))
-
-
 def _boundary_relations(
     pi: ColoredPermutation, reversed_at: frozenset[int]
 ) -> tuple[list[tuple[ColoredLetter, ColoredLetter]], bool]:
@@ -289,11 +284,6 @@ def chain_poset(I: Iterable[int], pi: ColoredPermutation) -> ColoredPoset:
         elif pi.r >= 2:
             rels.append((x, anchor))
     return make_poset(pi.r, pi.n, pi.letters, rels)
-
-
-def anchored_chain_poset(pi: ColoredPermutation) -> ColoredPoset:
-    """The total chain pi(1) < ... < pi(n) < 0_1 < ... < 0_{r-1}."""
-    return zigzag_poset(frozenset(), pi)
 
 
 def detached_chain_poset(pi: ColoredPermutation) -> ColoredPoset:

@@ -214,9 +214,7 @@ def _weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
         yield tuple(comp)
 
 
-def barred_chain_total(
-    pi: ColoredPermutation, j: int, k: int, max_count: int = DEFAULT_MAX_MAPS
-) -> int:
+def barred_chain_total(pi: ColoredPermutation, j: int, k: int) -> int:
     """Sum over all I of barred relaxed-chain counts with k bars.
 
     Every subset I of [n] contributes one chain poset (relations dropped at

@@ -8,6 +8,7 @@ worker count.
 from __future__ import annotations
 
 import itertools
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -15,6 +16,7 @@ from fractions import Fraction
 
 from .algebra import (
     ClassPartition,
+    _idempotents,
     algebra_add,
     algebra_unit,
     algebra_zero,
@@ -22,7 +24,6 @@ from .algebra import (
     collapsed_product,
     des_partition,
     desset_partition,
-    eulerian_idempotents,
     idempotent_class_table,
     mr_partition,
     structure_constants,
@@ -60,21 +61,6 @@ from .ppartitions import (
     omega_via_extensions,
     random_colored_poset,
     verify_steingrimsson,
-)
-
-SUITE_NAMES = (
-    "ftcpp",
-    "order-poly",
-    "zigzag",
-    "chain",
-    "barred",
-    "steingrimsson",
-    "closure-des",
-    "closure-mr",
-    "closure-desset",
-    "phi",
-    "idempotents",
-    "variants",
 )
 
 IDEMPOTENT_GROUPS = ((1, 3), (2, 3), (3, 3), (5, 3))
@@ -157,11 +143,13 @@ def _run_cases(
     report: SuiteReport, worker, cases: list[tuple], jobs: int
 ) -> list[dict]:
     """Run ``worker(*case)`` for every case in case order, in-process or over
-    ``jobs`` worker processes; merge checks and failures into the report."""
-    if jobs <= 1 or len(cases) <= 1:
+    at most ``jobs`` worker processes, no more than there are cases or CPUs;
+    merge checks and failures into the report."""
+    workers = min(jobs, len(cases), os.cpu_count() or 1)
+    if workers <= 1:
         results = [worker(*case) for case in cases]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(worker, *zip(*cases)))
     for res in results:
         report.checks += res["checks"]
@@ -499,7 +487,7 @@ def suite_idempotents(
             report.failures.append({"r": rr, "n": nn, "closure": False})
             continue
         tensor = structure_constants(partition, closure)
-        idems = eulerian_idempotents(rr, nn, max_group_size)
+        idems = _idempotents(partition)
         coords = [collapse(c, partition) for c in idems]
         zero = tuple(Fraction(0) for _ in partition.classes)
         for i in range(nn + 1):
@@ -577,6 +565,7 @@ _SUITES = {
     "idempotents": suite_idempotents,
     "variants": suite_variants,
 }
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(name: str, **kwargs) -> SuiteReport:

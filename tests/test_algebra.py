@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import colored_descents.algebra
 from colored_descents.group import (
     ColoredPermutation,
+    SizeCapExceeded,
     _compose_words,
     compose,
     enumerate_group,
@@ -250,6 +251,33 @@ class TestSpan:
                     assert is_in_span(algebra_multiply(a, b), partition).in_span
 
 
+class TestPartitionRanks:
+    @pytest.mark.parametrize("r, n", [(1, 3), (2, 0), (2, 3), (3, 2)])
+    def test_classes_tile_the_group_in_rank_order(self, r, n):
+        order = tuple(pi.letters for pi in enumerate_group(r, n))
+        partitions = [des_partition(r, n), mr_partition(r, n), desset_partition(r, n)]
+        partitions += [
+            variant_partition(r, n, a, b) for a in range(r) for b in range(r)
+        ]
+        for partition in partitions:
+            assert partition.order == order
+            ranks = []
+            for info in partition.classes:
+                assert list(info.ranks) == sorted(info.ranks)
+                assert info.members == tuple(order[p] for p in info.ranks)
+                ranks.extend(info.ranks)
+            assert sorted(ranks) == list(range(len(order)))
+
+    def test_cap_is_checked_before_the_table(self, monkeypatch):
+        def fail(r, n):
+            raise AssertionError(f"group_table({r}, {n}) built")
+
+        monkeypatch.setattr(colored_descents.algebra, "group_table", fail)
+        message = "group of order 29160 exceeds cap 100"
+        with pytest.raises(SizeCapExceeded, match=message):
+            des_partition(3, 5, max_size=100)
+
+
 class TestClosure:
     def test_descent_partition_closed(self):
         report = verify_closure(des_partition(2, 2))
@@ -346,13 +374,13 @@ class TestStructurePolynomial:
 
     def test_functional_equation_enumerates_the_group_once(self, monkeypatch):
         calls = []
-        original = colored_descents.algebra.enumerate_group
+        original = colored_descents.algebra.partition_by
 
         def counting(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(colored_descents.algebra, "enumerate_group", counting)
+        monkeypatch.setattr(colored_descents.algebra, "partition_by", counting)
         assert verify_phi_identity(2, 2, [(0, 1), (1, 1), (2, 2)])
         assert len(calls) == 1
 

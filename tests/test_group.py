@@ -8,6 +8,7 @@ from colored_descents.group import (
     GroupTable,
     SizeCapExceeded,
     compose,
+    descent_positions,
     descent_profile,
     descent_set_variant,
     enumerate_group,
@@ -19,6 +20,7 @@ from colored_descents.group import (
     parse_one_line,
     permutation_from_json,
     permutation_to_json,
+    word_intdes,
 )
 
 
@@ -134,6 +136,30 @@ class TestDescents:
                 i for i in range(1, 4) if values[i - 1] > values[i]
             }
             assert descent_profile(pi).descent_set == frozenset(classical)
+
+
+def framed_descents(word, a, b):
+    """Positions 0..n where the word framed by 0_a and 0_b descends,
+    compared letter by letter."""
+    padded = (ColoredLetter(a, 0),) + word + (ColoredLetter(b, 0),)
+    return frozenset(i for i in range(len(word) + 1) if padded[i] > padded[i + 1])
+
+
+class TestDescentRule:
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_matches_framed_rule(self, r):
+        for n in range(5):
+            for pi in enumerate_group(r, n):
+                w = pi.letters
+                for a in range(r):
+                    for b in range(r):
+                        assert descent_positions(w, a, b) == framed_descents(w, a, b)
+                # the default frame: internal descents, plus n for a final
+                # letter of nonzero color
+                internal = {i for i in range(1, n) if w[i - 1] > w[i]}
+                final = {n} if n and w[-1].color else set()
+                assert descent_positions(w) == internal | final
+                assert word_intdes(w) == len(internal)
 
 
 class TestDescentVariants:
@@ -256,6 +282,9 @@ class TestValidation:
     def test_duplicate_value(self):
         with pytest.raises(ValueError):
             ColoredPermutation(2, (ColoredLetter(0, 1), ColoredLetter(1, 1)))
+        # values must be exactly 1..n, so a word skipping values fails too
+        with pytest.raises(ValueError):
+            ColoredPermutation(2, (ColoredLetter(0, 2), ColoredLetter(1, 5)))
 
     def test_color_out_of_range(self):
         with pytest.raises(ValueError):

@@ -14,7 +14,6 @@ from colored_descents.group import (
 )
 from colored_descents.posets import (
     AnchoredWord,
-    anchored_chain_poset,
     chain_poset,
     colored_linear_extensions,
     decompose_anchored,
@@ -25,7 +24,6 @@ from colored_descents.posets import (
     poset_to_json,
     shuffles,
     standardize_word,
-    word_permutation,
     zigzag_poset,
 )
 
@@ -88,7 +86,7 @@ class TestLinearExtensions:
 
     def test_total_chain_single_extension(self):
         pi = parse_one_line("2_1 1_0 3_2", 3)
-        poset = anchored_chain_poset(pi)
+        poset = zigzag_poset(frozenset(), pi)
         words = linear_extensions(poset)
         assert len(words) == 1
         assert words[0].word[:3] == pi.letters
@@ -151,7 +149,7 @@ class TestColoredExtensions:
 
     def test_chain_gives_back_pi(self):
         pi = parse_one_line("3_2 1_0 2_1", 3)
-        assert colored_linear_extensions(anchored_chain_poset(pi)) == [pi.letters]
+        assert colored_linear_extensions(zigzag_poset(frozenset(), pi)) == [pi.letters]
 
     def test_antichain_gives_whole_group(self):
         poset = make_poset(2, 2, [L(0, 1), L(0, 2)], [])
@@ -280,10 +278,6 @@ class TestSubAlphabets:
         group = set(enumerate_group(2, 2))
         for w in colored_linear_extensions(poset):
             assert standardize_word(2, w) in group
-
-    def test_word_permutation_validates(self):
-        with pytest.raises(ValueError):
-            word_permutation(2, (L(0, 2), L(1, 5)))
 
 
 class TestUnsatisfiableBoundary:

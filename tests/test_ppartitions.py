@@ -15,7 +15,6 @@ from colored_descents.group import (
     word_des,
 )
 from colored_descents.posets import (
-    anchored_chain_poset,
     chain_poset,
     colored_linear_extensions,
     detached_chain_poset,
@@ -71,7 +70,7 @@ class TestBruteForce:
             pi = parse_one_line(text, r)
             d = word_des(pi.letters)
             for j in range(4):
-                count = count_ppartitions_bruteforce(anchored_chain_poset(pi), j)
+                count = count_ppartitions_bruteforce(zigzag_poset(frozenset(), pi), j)
                 assert count == binom(j + pi.n - d, pi.n)
 
     def test_zero_chain_only(self):
@@ -111,7 +110,7 @@ class TestOmegaPi:
         for pi in enumerate_group(2, 2):
             for j in range(4):
                 assert omega_pi(pi, j) == count_ppartitions_bruteforce(
-                    anchored_chain_poset(pi), j
+                    zigzag_poset(frozenset(), pi), j
                 )
 
 
@@ -119,7 +118,8 @@ class TestOmegaViaExtensions:
     def test_chain(self):
         pi = parse_one_line("2_0 1_1 3_1", 2)
         for j in range(3):
-            assert omega_via_extensions(anchored_chain_poset(pi), j) == omega_pi(pi, j)
+            chain = zigzag_poset(frozenset(), pi)
+            assert omega_via_extensions(chain, j) == omega_pi(pi, j)
 
     def test_singleton_union_zero_chain(self):
         for r in (2, 3, 4):
@@ -292,5 +292,5 @@ def test_omega_matches_bruteforce_random(j, data):
     colors = data.draw(st.lists(st.integers(0, r - 1), min_size=n, max_size=n))
     pi = ColoredPermutation(r, tuple(L(c, v) for v, c in zip(values, colors)))
     assert omega_pi(pi, j) == count_ppartitions_bruteforce(
-        anchored_chain_poset(pi), j
+        zigzag_poset(frozenset(), pi), j
     )

@@ -1,0 +1,46 @@
+import os
+
+import colored_descents.algebra
+from colored_descents import verify
+from colored_descents.verify import run_suite
+
+
+def test_idempotents_build_one_partition_per_group(monkeypatch):
+    calls = []
+    original = colored_descents.algebra.partition_by
+
+    def counting(*args, **kwargs):
+        calls.append(args[:2])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(colored_descents.algebra, "partition_by", counting)
+    assert run_suite("idempotents", r=3, n=3).passed
+    assert calls == [(3, 3)]
+
+
+def test_jobs_are_capped_by_cases_and_cpus(monkeypatch):
+    started = []
+
+    class FakeExecutor:
+        """Records max_workers and maps in-process; starts no process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", FakeExecutor)
+    serial = run_suite("order-poly", r=2, n=2, jobs=1).to_json()
+    # G(2, 2) has 8 elements, so order-poly runs 8 cases; one usable worker
+    # (cpu_count unknown) runs them in-process
+    for cpus in (64, 3, None):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert run_suite("order-poly", r=2, n=2, jobs=10_000).to_json() == serial
+    assert started == [8, 3]

@@ -27,10 +27,10 @@ from .group import (
     SizeCapExceeded,
     Word,
     _check_order,
+    _run_parts,
     descent_positions,
     group_table,
     identity,
-    mr_key,
     word_des,
     word_str,
 )
@@ -134,9 +134,7 @@ def algebra_scale(a: GroupAlgebraElement, q: Scalar) -> GroupAlgebraElement:
 
 
 def algebra_multiply(
-    a: GroupAlgebraElement,
-    b: GroupAlgebraElement,
-    max_pairs: int = DEFAULT_MAX_PAIRS,
+    a: GroupAlgebraElement, b: GroupAlgebraElement
 ) -> GroupAlgebraElement:
     """Convolution product: coefficient of pi is sum over st = pi of a[s] b[t].
 
@@ -145,7 +143,7 @@ def algebra_multiply(
     b[t] = v}, the counts coming from ``_convolve``.
     """
     _check_same_group(a, b)
-    if a.support_size() * b.support_size() > max_pairs:
+    if a.support_size() * b.support_size() > DEFAULT_MAX_PAIRS:
         raise SizeCapExceeded(
             f"product support {a.support_size()}x{b.support_size()} exceeds cap"
         )
@@ -283,10 +281,7 @@ def class_sums_des(
 def mr_partition(
     r: int, n: int, max_size: int = DEFAULT_MAX_GROUP_SIZE
 ) -> ClassPartition:
-    def label(w: Word) -> tuple:
-        return mr_key(ColoredPermutation(r, w)).parts
-
-    return partition_by(r, n, "mr", label, max_size)
+    return partition_by(r, n, "mr", _run_parts, max_size)
 
 
 def class_sums_mr(
@@ -373,7 +368,6 @@ class ClosureReport:
     kind: str
     r: int
     n: int
-    pairs_checked: int
     failures: tuple[ClosureFailure, ...]
     tensor: Optional[list[list[list[int]]]] = field(default=None, compare=False)
 
@@ -382,9 +376,7 @@ class ClosureReport:
         return not self.failures
 
 
-def verify_closure(
-    partition: ClassPartition, max_pairs: int = DEFAULT_MAX_PAIRS
-) -> ClosureReport:
+def verify_closure(partition: ClassPartition) -> ClosureReport:
     """Check every product of two class sums against the span of the sums.
 
     Multiplies each ordered pair of class sums (|G|^2 compositions in all),
@@ -393,9 +385,9 @@ def verify_closure(
     non-constant class.  When all pairs pass, their span vectors form the
     structure-constant tensor carried on the report.
     """
-    if len(partition.order) ** 2 > max_pairs:
+    if len(partition.order) ** 2 > DEFAULT_MAX_PAIRS:
         raise SizeCapExceeded(
-            f"{len(partition.order)}^2 products exceed cap {max_pairs}"
+            f"{len(partition.order)}^2 products exceed cap {DEFAULT_MAX_PAIRS}"
         )
     table = group_table(partition.r, partition.n)
     classes = [info.ranks for info in partition.classes]
@@ -417,7 +409,6 @@ def verify_closure(
         partition.kind,
         partition.r,
         partition.n,
-        len(classes) ** 2,
         tuple(failures),
         None if failures else tensor,
     )
@@ -443,9 +434,7 @@ class VerificationFailedClosure(RuntimeError):
 
 
 def structure_constants(
-    partition: ClassPartition,
-    closure: Optional[ClosureReport] = None,
-    max_pairs: int = DEFAULT_MAX_PAIRS,
+    partition: ClassPartition, closure: Optional[ClosureReport] = None
 ) -> list[list[list[int]]]:
     """Integer tensor m with class_sum_j * class_sum_k = sum_i m[j][k][i] sum_i.
 
@@ -454,7 +443,7 @@ def structure_constants(
     closure check's products; no second pass over the group is made.
     """
     if closure is None:
-        closure = verify_closure(partition, max_pairs)
+        closure = verify_closure(partition)
     if (closure.kind, closure.r, closure.n) != (
         partition.kind,
         partition.r,

@@ -15,7 +15,7 @@ import os
 import sys
 import time
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import __version__, schemas
 from .group import (
@@ -131,19 +131,30 @@ def _validate_common(args: argparse.Namespace) -> None:
         raise UsageError("--cases must be nonnegative")
 
 
-def _emit(text: str, output: Optional[str]) -> None:
+def _emit(chunks: Iterable[str], output: Optional[str]) -> None:
     if output:
         try:
             with open(output, "w") as handle:
-                handle.write(text)
+                handle.writelines(chunks)
         except OSError as exc:
             raise UsageError(f"cannot write --output {output}: {exc.strerror}") from exc
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _dump_json(obj: object) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _json_array(records: Iterable[dict], schema_name: str) -> Iterator[str]:
+    """``_dump_json(list(records))`` in chunks, one record at a time, each
+    validated before it is yielded."""
+    sep = "[\n  "
+    for record in records:
+        schemas.validate(record, schema_name)
+        yield sep + json.dumps(record, indent=2, sort_keys=True).replace("\n", "\n  ")
+        sep = ",\n  "
+    yield "[]\n" if sep == "[\n  " else "\n]\n"
 
 
 def _csv_line(fields: Sequence[object]) -> str:
@@ -158,7 +169,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         for rank, pi in enumerate(enumerate_group(r, n, args.max_group_size))
     )
     if args.format == "json":
-        records = [
+        records = (
             {
                 "rank": rank,
                 "word": str(pi),
@@ -169,10 +180,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
                 "mr_key": [list(part) for part in key.parts],
             }
             for rank, pi, profile, key in rows
-        ]
-        for record in records:
-            schemas.validate(record, "enumerate_record")
-        _emit(_dump_json(records), args.output)
+        )
+        _emit(_json_array(records, "enumerate_record"), args.output)
         return EXIT_OK
     if args.format == "csv":
         lines = [_csv_line(["rank", "word", "descent_set", "des", "intdes", "mr_key"])]
@@ -188,7 +197,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             f"runs={[list(part) for part in key.parts]}\n"
             for rank, pi, profile, key in rows
         ]
-    _emit("".join(lines), args.output)
+    _emit(lines, args.output)
     return EXIT_OK
 
 
@@ -218,13 +227,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     }
     schemas.validate(envelope, "report")
     if args.format == "json":
-        _emit(_dump_json(envelope), args.output)
+        _emit([_dump_json(envelope)], args.output)
     elif args.format == "csv":
         lines = [_csv_line(["suite", "checks", "passed", "failures"])]
         lines.append(
             _csv_line([report.suite, report.checks, report.passed, len(report.failures)])
         )
-        _emit("".join(lines), args.output)
+        _emit(lines, args.output)
     else:
         status = "PASS" if report.passed else "FAIL"
         lines = [
@@ -234,7 +243,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         ]
         for failure in report.failures[:5]:
             lines.append(f"  witness: {json.dumps(failure, sort_keys=True)}\n")
-        _emit("".join(lines), args.output)
+        _emit(lines, args.output)
     return EXIT_OK if report.passed else EXIT_VERIFICATION
 
 
@@ -269,7 +278,7 @@ def cmd_idempotents(args: argparse.Namespace) -> int:
     table = _idempotent_table_json(r, n)
     if args.format == "json":
         schemas.validate(table, "idempotent_table")
-        _emit(_dump_json(table), args.output)
+        _emit([_dump_json(table)], args.output)
     elif args.format == "csv":
         lines = [_csv_line(["i", "des", "coefficient"])]
         for row in table["idempotents"]:
@@ -279,7 +288,7 @@ def cmd_idempotents(args: argparse.Namespace) -> int:
                         [row["i"], cell["des"], f"{cell['num']}/{cell['den']}"]
                     )
                 )
-        _emit("".join(lines), args.output)
+        _emit(lines, args.output)
     else:
         common = int(table["common_denominator"])
         lines = []
@@ -293,7 +302,7 @@ def cmd_idempotents(args: argparse.Namespace) -> int:
                     term if sign == "+" else f"-{term}"
                 )
             lines.append(f"c_{row['i']} = (1/{common})({text})\n")
-        _emit("".join(lines), args.output)
+        _emit(lines, args.output)
     return EXIT_OK
 
 
@@ -308,13 +317,13 @@ def cmd_eulerian_poly(args: argparse.Namespace) -> int:
     }
     if args.format == "json":
         schemas.validate(record, "series_record")
-        _emit(_dump_json(record), args.output)
+        _emit([_dump_json(record)], args.output)
     elif args.format == "csv":
         lines = [_csv_line(["power", "coefficient"])]
         lines.extend(_csv_line([d, c]) for d, c in enumerate(series.coefficients))
-        _emit("".join(lines), args.output)
+        _emit(lines, args.output)
     else:
-        _emit(f"[{', '.join(str(c) for c in series.coefficients)}]\n", args.output)
+        _emit([f"[{', '.join(str(c) for c in series.coefficients)}]\n"], args.output)
     return EXIT_OK
 
 
@@ -332,17 +341,15 @@ def cmd_order_poly(args: argparse.Namespace) -> int:
         for j in _parse_j_range(args.j)
     ]
     if args.format == "json":
-        for record in records:
-            schemas.validate(record, "count_record")
-        _emit(_dump_json(records), args.output)
+        _emit(_json_array(records, "count_record"), args.output)
     elif args.format == "csv":
         lines = [_csv_line(["j", "count"])]
         lines.extend(
             _csv_line([rec["params"]["j"], rec["count"]]) for rec in records
         )
-        _emit("".join(lines), args.output)
+        _emit(lines, args.output)
     else:
-        _emit(f"[{', '.join(rec['count'] for rec in records)}]\n", args.output)
+        _emit([f"[{', '.join(rec['count'] for rec in records)}]\n"], args.output)
     return EXIT_OK
 
 

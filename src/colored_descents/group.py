@@ -339,20 +339,22 @@ class ColoredComposition:
         return "|".join(f"{length}^{color}" for length, color in self.parts)
 
 
-def mr_key(pi: ColoredPermutation) -> ColoredComposition:
-    """Cut after every color change or same-color value descent."""
-    parts: list[tuple[int, int]] = []
+def _run_parts(word: Word) -> tuple[tuple[int, int], ...]:
+    """(length, color) of each run, cut after every color change or
+    same-color value descent."""
+    parts = []
     run = 0
-    for i, letter in enumerate(pi.letters):
+    for (color, value), nxt in itertools.zip_longest(word, word[1:]):
         run += 1
-        last = i + 1 == pi.n
-        if not last:
-            nxt = pi.letters[i + 1]
-            cut = letter.color != nxt.color or letter.value > nxt.value
-        if last or cut:
-            parts.append((run, letter.color))
+        if nxt is None or color != nxt[0] or value > nxt[1]:
+            parts.append((run, color))
             run = 0
-    return ColoredComposition(tuple(parts))
+    return tuple(parts)
+
+
+def mr_key(pi: ColoredPermutation) -> ColoredComposition:
+    """The run composition of pi."""
+    return ColoredComposition(_run_parts(pi.letters))
 
 
 def parse_one_line(text: str, r: int) -> ColoredPermutation:

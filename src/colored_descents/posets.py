@@ -141,12 +141,11 @@ class AnchoredWord:
         return word_str(self.word)
 
 
-def linear_extensions(
-    poset: ColoredPoset, max_count: int = DEFAULT_MAX_EXTENSIONS
-) -> list[AnchoredWord]:
+def linear_extensions(poset: ColoredPoset) -> list[AnchoredWord]:
     """All anchored words extending the poset, in lexicographic order."""
     if poset.unsatisfiable:
         return []
+    cap = DEFAULT_MAX_EXTENSIONS
     elems = sorted(poset.elements)
     pred = poset.predecessors
     out: list[AnchoredWord] = []
@@ -155,8 +154,8 @@ def linear_extensions(
 
     def rec() -> None:
         if len(word) == len(elems):
-            if len(out) >= max_count:
-                raise SizeCapExceeded(f"more than {max_count} linear extensions")
+            if len(out) >= cap:
+                raise SizeCapExceeded(f"more than {cap} linear extensions")
             out.append(AnchoredWord(poset.r, tuple(word)))
             return
         for e in elems:
@@ -207,19 +206,18 @@ def shuffles(words: Sequence[Word]) -> Iterator[Word]:
     yield from go([0] * len(parts))
 
 
-def colored_linear_extensions(
-    poset: ColoredPoset, max_count: int = DEFAULT_MAX_EXTENSIONS
-) -> list[Word]:
+def colored_linear_extensions(poset: ColoredPoset) -> list[Word]:
     """Concatenated shuffles of the blocks of every linear extension.
 
     Duplicates arising from different anchored words are retained: the
     result is a list with multiplicity.
     """
     out: list[Word] = []
-    for w in linear_extensions(poset, max_count):
+    cap = DEFAULT_MAX_EXTENSIONS
+    for w in linear_extensions(poset):
         for shuffled in shuffles(decompose_anchored(w)):
-            if len(out) >= max_count:
-                raise SizeCapExceeded(f"more than {max_count} colored extensions")
+            if len(out) >= cap:
+                raise SizeCapExceeded(f"more than {cap} colored extensions")
             out.append(shuffled)
     return out
 

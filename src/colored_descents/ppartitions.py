@@ -126,15 +126,9 @@ def omega_pi(pi: ColoredPermutation, j: int) -> int:
     return omega_word(pi.letters, j)
 
 
-def omega_via_extensions(
-    poset: ColoredPoset,
-    j: int,
-    max_count: int = DEFAULT_MAX_MAPS,
-) -> int:
+def omega_via_extensions(poset: ColoredPoset, j: int) -> int:
     """Order polynomial summed over colored linear extensions (with multiplicity)."""
-    return sum(
-        omega_word(w, j) for w in colored_linear_extensions(poset, max_count)
-    )
+    return sum(omega_word(w, j) for w in colored_linear_extensions(poset))
 
 
 def omega_Ppi(pi: ColoredPermutation, j: int) -> int:
@@ -182,7 +176,6 @@ def barred_zigzag_count(
     pi: ColoredPermutation,
     j: int,
     k: int,
-    max_count: int = DEFAULT_MAX_MAPS,
 ) -> int:
     """Pairs (filling, bar placement) for the reversed-at-I chain of pi.
 
@@ -192,7 +185,7 @@ def barred_zigzag_count(
     I = frozenset(I)
     n = pi.n
     total = 0
-    for w in colored_linear_extensions(zigzag_poset(I, pi), max_count):
+    for w in colored_linear_extensions(zigzag_poset(I, pi)):
         sigma = ColoredPermutation(pi.r, w)
         tau = compose(inverse(sigma), pi)
         total += omega_word(w, j) * binom(k + n - word_des(tau.letters), n)

@@ -5,6 +5,8 @@ referenced from the README.
 """
 from __future__ import annotations
 
+import re
+
 _FRACTION = {"type": "string", "pattern": "^-?[0-9]+(/[0-9]+)?$"}
 _DECIMAL = {"type": "string", "pattern": "^-?[0-9]+$"}
 
@@ -141,17 +143,52 @@ SCHEMAS = {
 }
 
 
-_VALIDATORS: dict[str, object] = {}
+class SchemaError(Exception):
+    """A document fails its schema: a bug in the writer, so not a
+    ValueError, which the CLI reports as a usage error."""
+
+
+# Draft 2020-12 types: a bool is not a number, an integral float is an integer
+_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "number": lambda x: isinstance(x, (int, float)) and not isinstance(x, bool),
+    "integer": lambda x: (isinstance(x, int) and not isinstance(x, bool))
+    or (isinstance(x, float) and x.is_integer()),
+}
+
+
+def _check(obj: object, schema: dict, path: str) -> None:
+    """Draft 2020-12 semantics of the eight keywords the schemas use, each
+    applied only to instances of its own type."""
+
+    def fail(keyword: str) -> None:
+        raise SchemaError(f"{path}: fails {keyword} {schema[keyword]!r}")
+
+    if "type" in schema and not _TYPES[schema["type"]](obj):
+        fail("type")
+    if isinstance(obj, dict):
+        if any(key not in obj for key in schema.get("required", ())):
+            fail("required")
+        for key, sub in schema.get("properties", {}).items():
+            if key in obj:
+                _check(obj[key], sub, f"{path}.{key}")
+    elif isinstance(obj, list):
+        if len(obj) < schema.get("minItems", 0):
+            fail("minItems")
+        if len(obj) > schema.get("maxItems", len(obj)):
+            fail("maxItems")
+        if "items" in schema:
+            for i, item in enumerate(obj):
+                _check(item, schema["items"], f"{path}[{i}]")
+    elif isinstance(obj, str):
+        if "pattern" in schema and not re.search(schema["pattern"], obj):
+            fail("pattern")
+    elif _TYPES["number"](obj) and obj < schema.get("minimum", obj):
+        fail("minimum")
 
 
 def validate(obj: object, schema_name: str) -> None:
-    """Validate before writing; raises jsonschema.ValidationError."""
-    import jsonschema  # here, so that commands writing no JSON skip the import
-
-    validator = _VALIDATORS.get(schema_name)
-    if validator is None:
-        validator = jsonschema.Draft202012Validator(SCHEMAS[schema_name])
-        _VALIDATORS[schema_name] = validator
-    error = jsonschema.exceptions.best_match(validator.iter_errors(obj))
-    if error is not None:
-        raise error
+    """Check obj before it is written; raises SchemaError."""
+    _check(obj, SCHEMAS[schema_name], "$")

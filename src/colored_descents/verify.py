@@ -26,7 +26,6 @@ from .algebra import (
     desset_partition,
     idempotent_class_table,
     mr_partition,
-    structure_constants,
     tensor_mass_check,
     variant_partition,
     verify_closure,
@@ -415,7 +414,7 @@ def suite_closure_des(
             report.checks += 1
             continue
         sizes = [info.size for info in partition.classes]
-        mass_ok = tensor_mass_check(structure_constants(partition, rep), sizes)
+        mass_ok = tensor_mass_check(rep.tensor, sizes)
         record["mass_check"] = mass_ok
         report.checks += 2
         if not mass_ok:
@@ -486,7 +485,7 @@ def suite_idempotents(
         if not closure.passed:
             report.failures.append({"r": rr, "n": nn, "closure": False})
             continue
-        tensor = structure_constants(partition, closure)
+        tensor = closure.tensor
         idems = _idempotents(partition)
         coords = [collapse(c, partition) for c in idems]
         zero = tuple(Fraction(0) for _ in partition.classes)

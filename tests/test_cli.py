@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import colored_descents
 from colored_descents import schemas
 from colored_descents.cli import main
@@ -35,6 +37,16 @@ class TestEnumerate:
         for record in records:
             schemas.validate(record, "enumerate_record")
         assert records[0]["word"] == "1_0 2_0"
+
+    def test_json_stream_stops_at_a_bad_record(self, capsys, monkeypatch):
+        # records are validated and written one at a time; a bad first
+        # record writes nothing, and the schema error is not a usage error
+        monkeypatch.setattr(
+            "colored_descents.cli.permutation_to_json", lambda pi: {"r": 0}
+        )
+        with pytest.raises(schemas.SchemaError, match="permutation"):
+            main(["enumerate", "--r", "2", "--n", "2", "--format", "json"])
+        assert capsys.readouterr().out == ""
 
     def test_csv_header(self, capsys):
         code, out, _ = run(
@@ -114,21 +126,25 @@ class TestExitCodes:
 
     def test_cli_import_stays_light(self):
         # numpy or sympy at start-up would add to every command's time and
-        # memory; jsonschema is imported only when a JSON document is written
+        # memory; jsonschema is a test-only dependency, so writing JSON must
+        # not import it either
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             [str(Path(colored_descents.__file__).parents[1]), env.get("PYTHONPATH", "")]
         )
         code = (
-            "import sys, colored_descents.cli; "
-            "print(sorted({'numpy', 'sympy', 'jsonschema'} & set(sys.modules)))"
+            "import io, sys, contextlib; from colored_descents.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [main(['verify', 'closure-desset', '--format', 'json']),\n"
+            "             main(['enumerate', '--format', 'json'])]\n"
+            "print(codes, sorted({'numpy', 'sympy', 'jsonschema'} & set(sys.modules)))"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True,
             timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        assert proc.stdout.strip() == "[3, 0] []"
 
 
 class TestVerifyReports:

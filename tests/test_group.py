@@ -22,6 +22,7 @@ from colored_descents.group import (
     permutation_to_json,
     word_intdes,
 )
+from colored_descents.group import _run_parts
 
 
 def perm(text, r):
@@ -238,6 +239,33 @@ def same_group_triple(draw):
         )
 
     return element(), element(), element()
+
+
+def mr_parts_reference(pi):
+    """The run-composition loop over a validated permutation, kept as the
+    reference for the word-level rule."""
+    parts = []
+    run = 0
+    for i, letter in enumerate(pi.letters):
+        run += 1
+        last = i + 1 == pi.n
+        if not last:
+            nxt = pi.letters[i + 1]
+            cut = letter.color != nxt.color or letter.value > nxt.value
+        if last or cut:
+            parts.append((run, letter.color))
+            run = 0
+    return tuple(parts)
+
+
+@given(small_group_element(r_max=4, n_max=5))
+@example(identity(1, 0))
+@settings(max_examples=200, deadline=None)
+def test_run_parts_match_reference(pi):
+    assert _run_parts(pi.letters) == mr_parts_reference(pi)
+    # hot loops pass raw (color, value) tuples
+    assert _run_parts(tuple(map(tuple, pi.letters))) == mr_parts_reference(pi)
+    assert mr_key(pi).parts == mr_parts_reference(pi)
 
 
 @given(same_group_triple())

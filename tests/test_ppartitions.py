@@ -133,6 +133,13 @@ class TestOmegaViaExtensions:
         poset = make_poset(2, 2, [L(0, 1), L(0, 2)], [])
         assert omega_via_extensions(poset, 1) == (2 * 1 + 1) ** 2 == 9
 
+    def test_extension_cap(self, monkeypatch):
+        # the one extension cap is posets' own, read at call time
+        poset = make_poset(2, 2, [L(0, 1), L(0, 2)], [])
+        monkeypatch.setattr("colored_descents.posets.DEFAULT_MAX_EXTENSIONS", 2)
+        with pytest.raises(SizeCapExceeded, match="more than 2 linear extensions"):
+            omega_via_extensions(poset, 1)
+
 
 class TestOmegaDetachedChain:
     def test_monochromatic(self):

@@ -17,7 +17,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import itemgetter
+from itertools import repeat
+from operator import eq, itemgetter
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .group import (
@@ -27,8 +28,10 @@ from .group import (
     SizeCapExceeded,
     Word,
     _check_order,
+    _descent_flags,
     _run_parts,
     descent_positions,
+    group_order,
     group_table,
     identity,
     word_des,
@@ -37,7 +40,7 @@ from .group import (
 
 Scalar = Union[int, Fraction]
 
-DEFAULT_MAX_PAIRS = 20_000_000
+DEFAULT_MAX_PAIRS = 250_000_000
 
 
 def _require_exact(q: Scalar) -> Scalar:
@@ -138,36 +141,63 @@ def algebra_multiply(
 ) -> GroupAlgebraElement:
     """Convolution product: coefficient of pi is sum over st = pi of a[s] b[t].
 
-    Each operand's support is grouped by coefficient value, so the
-    coefficient of p is the sum of u * v * #{(s, t) : st = p, a[s] = u,
-    b[t] = v}, the counts coming from ``_convolve``.
+    Write a = a' + u S and b = b' + v S, where S is the sum of the whole
+    group and u, v are the operands' most common coefficients over the
+    group.  Since x S = S x = e(x) S, e being the coefficient sum,
+
+        a b = a' b' + (v e(a) + u e(b')) S,
+
+    so only the supports of a' and b' are convolved.  Those are grouped by
+    coefficient value, and the coefficient of p in a' b' is the sum of
+    c * d * #{(s, t) : st = p, a'[s] = c, b'[t] = d}, the counts coming
+    from ``_convolve``.
     """
     _check_same_group(a, b)
-    if a.support_size() * b.support_size() > DEFAULT_MAX_PAIRS:
+    size = group_order(a.r, a.n)
+    (u, left_size), (v, right_size) = _common_value(a, size), _common_value(b, size)
+    if left_size * right_size > DEFAULT_MAX_PAIRS:
         raise SizeCapExceeded(
-            f"product support {a.support_size()}x{b.support_size()} exceeds cap"
+            f"product support {left_size}x{right_size} exceeds cap"
         )
     table = group_table(a.r, a.n)
-    right = _value_groups(table, b)
+    right = _value_groups(table, b, v)
     right_ranks = [ranks for _, ranks in right]
     coeffs: dict[int, Scalar] = {}
-    for u, left in _value_groups(table, a):
-        for (v, _), counts in zip(right, _convolve(table, left, right_ranks)):
-            uv = u * v
+    for c, left in _value_groups(table, a, u):
+        for (d, _), counts in zip(right, _convolve(table, left, right_ranks)):
+            cd = c * d
             for p, m in counts.items():
-                coeffs[p] = coeffs.get(p, 0) + uv * m
+                coeffs[p] = coeffs.get(p, 0) + cd * m
+    total = v * sum(a.coeffs.values()) + u * (sum(b.coeffs.values()) - v * size)
+    if total:
+        coeffs = {p: coeffs.get(p, 0) + total for p in range(size)}
     return GroupAlgebraElement(
         a.r, a.n, {table.word(p): c for p, c in coeffs.items()}
     )
 
 
+def _common_value(a: GroupAlgebraElement, size: int) -> tuple[Scalar, int]:
+    """a's most common coefficient u over a group of the given order, with
+    elements outside the support counting as 0 and 0 winning ties, and the
+    number of elements whose coefficient is not u."""
+    counts = Counter({0: size - len(a.coeffs)})
+    counts.update(a.coeffs.values())
+    u = max(counts, key=counts.__getitem__)
+    return u, size - counts[u]
+
+
 def _value_groups(
-    table: GroupTable, a: GroupAlgebraElement
+    table: GroupTable, a: GroupAlgebraElement, u: Scalar
 ) -> list[tuple[Scalar, list[int]]]:
-    """The support of a as ranks, grouped by coefficient value."""
+    """The support of a - u S as ranks, grouped by coefficient value."""
+    coeffs = {table.rank(w): c for w, c in a.coeffs.items()}
+    # u != 0 is the most common value, so the support of a covers over half
+    # the group and walking every rank costs no more than walking it
+    items = ((p, coeffs.get(p, 0)) for p in range(len(table))) if u else coeffs.items()
     groups: dict[Scalar, list[int]] = {}
-    for w, c in a.coeffs.items():
-        groups.setdefault(c, []).append(table.rank(w))
+    for p, c in items:
+        if c != u:
+            groups.setdefault(c - u, []).append(p)
     return list(groups.items())
 
 
@@ -177,11 +207,18 @@ def _convolve(
     """For each rank set T in rights, how often s*t = p over s in left, t in T.
 
     Each left row is built once and every right set is gathered from it,
-    so the per-pair work runs in C.
+    so the per-pair work runs in C.  When the right sets hold fewer ranks
+    than a row has blocks, each product is read from the small tables
+    instead, so a product of small supports builds no row.
     """
+    counts = [Counter() for _ in rights]
+    if sum(map(len, rights)) < math.factorial(table.n):
+        for s in left:
+            for count, ranks in zip(counts, rights):
+                count.update(table.product(s, t) for t in ranks)
+        return counts
     gathers = [itemgetter(*ranks) for ranks in rights]
     singles = [len(ranks) == 1 for ranks in rights]
-    counts = [Counter() for _ in rights]
     for s in left:
         row = table.left_row(s)
         for count, gather, single in zip(counts, gathers, singles):
@@ -307,7 +344,7 @@ def variant_partition(
     """Partition by the descent count read with boundary letters 0_a, 0_b."""
 
     def label(w: Word) -> int:
-        return len(descent_positions(w, a, b))
+        return sum(_descent_flags(w, a, b))
 
     return partition_by(r, n, f"desvar({a},{b})", label, max_size)
 
@@ -332,9 +369,8 @@ def is_in_span(a: GroupAlgebraElement, partition: ClassPartition) -> SpanCheck:
     """
     if (a.r, a.n) != (partition.r, partition.n):
         raise ValueError("element and partition live on different groups")
-    vector, witness = _span_vector(
-        a.coeffs, [info.members for info in partition.classes]
-    )
+    scan = _span_scan([info.members for info in partition.classes])
+    vector, witness = scan(a.coeffs)
     return SpanCheck(None if vector is None else tuple(vector), witness)
 
 
@@ -362,7 +398,8 @@ class ClosureReport:
 
     ``tensor`` holds the structure constants read off the checked products,
     ``tensor[j][k]`` being the span vector of class_sum_j * class_sum_k; it
-    is None unless every product lies in the span.
+    is None unless every product lies in the span.  ``products`` counts the
+    pairs of group elements actually composed.
     """
 
     kind: str
@@ -370,6 +407,7 @@ class ClosureReport:
     n: int
     failures: tuple[ClosureFailure, ...]
     tensor: Optional[list[list[list[int]]]] = field(default=None, compare=False)
+    products: int = field(default=0, compare=False)
 
     @property
     def passed(self) -> bool:
@@ -379,54 +417,98 @@ class ClosureReport:
 def verify_closure(partition: ClassPartition) -> ClosureReport:
     """Check every product of two class sums against the span of the sums.
 
-    Multiplies each ordered pair of class sums (|G|^2 compositions in all),
-    one left class at a time, and tests the product for constancy on every
-    class.  A failing pair reports the first differing member of its first
-    non-constant class.  When all pairs pass, their span vectors form the
-    structure-constant tensor carried on the report.
+    Let K be the largest class, the first on ties.  Only left classes
+    j != K are convolved, one at a time, and only against right classes
+    k != K: (|G| - |C_K|)^2 compositions in all.  The rest follows from
+    C_j S = S C_j = |C_j| S, S being the sum of the group, which is the sum
+    of all classes.  For every p,
+
+        (C_j C_K)(p) = |C_j| - sum_{k != K} (C_j C_k)(p),
+        (C_K C_k)(p) = |C_k| - sum_{j != K} (C_j C_k)(p),
+        (C_K C_K)(p) = 2 |C_K| - |G| + sum_{j, k != K} (C_j C_k)(p),
+
+    the sums over j kept as one running accumulator per k.  Each product
+    is tested for constancy on every class.  A failing pair reports the
+    first differing member of its first non-constant class.  When all
+    pairs pass, their span vectors form the structure-constant tensor
+    carried on the report.
     """
-    if len(partition.order) ** 2 > DEFAULT_MAX_PAIRS:
-        raise SizeCapExceeded(
-            f"{len(partition.order)}^2 products exceed cap {DEFAULT_MAX_PAIRS}"
-        )
-    table = group_table(partition.r, partition.n)
     classes = [info.ranks for info in partition.classes]
+    size = len(partition.order)
+    big = max(range(len(classes)), key=lambda k: len(classes[k]))
+    products = (size - len(classes[big])) ** 2
+    if products > DEFAULT_MAX_PAIRS:
+        raise SizeCapExceeded(f"{products} products exceed cap {DEFAULT_MAX_PAIRS}")
+    table = group_table(partition.r, partition.n)
+    others = [k for k in range(len(classes)) if k != big]
+    rest = [classes[k] for k in others]
+    columns = [Counter() for _ in others]
+    corner = Counter()
+    tensor = [[None] * len(classes) for _ in classes]
     failures = []
-    tensor = []
-    for j, left in enumerate(classes):
-        row = []
-        for k, counts in enumerate(_convolve(table, left, classes)):
-            vector, witness = _span_vector(counts, classes)
-            if witness is None:
-                row.append(vector)
-            else:
-                s, t, cs, ct = witness
-                failures.append(
-                    ClosureFailure(j, k, (table.word(s), table.word(t), cs, ct))
-                )
-        tensor.append(row)
+    scan = _span_scan(classes)
+
+    def check(j: int, k: int, counts: Counter, base: int = 0, sign: int = 1) -> None:
+        """Test C_j C_k, whose coefficient of p is base + sign * counts[p]."""
+        vector, witness = scan(counts)
+        if witness is None:
+            tensor[j][k] = [base + sign * m for m in vector]
+        else:
+            s, t, cs, ct = witness
+            failures.append(ClosureFailure(
+                j, k, (table.word(s), table.word(t), base + sign * cs, base + sign * ct)
+            ))
+
+    for j in others:
+        row = Counter()
+        for k, column, counts in zip(others, columns, _convolve(table, classes[j], rest)):
+            check(j, k, counts)
+            row.update(counts)
+            column.update(counts)
+        check(j, big, row, len(classes[j]), -1)
+        corner.update(row)
+    for k, column in zip(others, columns):
+        check(big, k, column, len(classes[k]), -1)
+    check(big, big, corner, 2 * len(classes[big]) - size)
+    failures.sort(key=lambda f: (f.left, f.right))
     return ClosureReport(
         partition.kind,
         partition.r,
         partition.n,
         tuple(failures),
         None if failures else tensor,
+        products,
     )
 
 
-def _span_vector(coeffs: Mapping, classes: Sequence[Sequence]) -> tuple:
-    """``(vector, None)`` if coeffs is constant on every class of keys, else
-    ``(None, (key1, key2, coeff1, coeff2))`` for the first differing member
-    of the first non-constant class.  Keys are words or ranks alike."""
-    vector = []
-    for members in classes:
-        ref = coeffs.get(members[0], 0)
-        for key in members[1:]:
-            c = coeffs.get(key, 0)
-            if c != ref:
-                return None, (members[0], key, ref, c)
-        vector.append(ref)
-    return vector, None
+def _span_scan(classes: Sequence[Sequence]):
+    """A constancy test over the given classes of keys (words or ranks
+    alike).  ``scan(coeffs)`` takes a mapping that stores no zero and
+    returns ``(vector, None)`` if ``coeffs.get(key, 0)`` is constant on
+    every class, else ``(None, (key1, key2, coeff1, coeff2))`` for the
+    first differing member of the first non-constant class."""
+    label = {key: i for i, members in enumerate(classes) for key in members}
+    sizes = list(map(len, classes))
+    indices = range(len(classes))
+
+    def scan(coeffs: Mapping) -> tuple:
+        # constant iff each class meeting the support lies inside it with
+        # one value; this reads only the support
+        labels = list(map(label.__getitem__, coeffs))
+        inside = Counter(labels)
+        values = dict(zip(labels, coeffs.values()))
+        if len(set(zip(labels, coeffs.values()))) == len(values) and all(
+            map(eq, inside.values(), map(sizes.__getitem__, inside))
+        ):
+            return list(map(values.get, indices, repeat(0))), None
+        for members in classes:
+            ref = coeffs.get(members[0], 0)
+            for key in members:
+                c = coeffs.get(key, 0)
+                if c != ref:
+                    return None, (members[0], key, ref, c)
+
+    return scan
 
 
 class VerificationFailedClosure(RuntimeError):

@@ -18,7 +18,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from operator import gt
+from operator import gt, itemgetter
 from typing import Iterator, NamedTuple
 
 DEFAULT_MAX_GROUP_SIZE = 10_000_000
@@ -187,7 +187,8 @@ class GroupTable:
     rows are built on first use, since a product of small supports in a
     large group touches only a few of them.  Product rows are gathered
     from shared lists of the rank ints, one block per value permutation,
-    so building a row allocates no int objects.
+    so building a row allocates no int objects; the blocks are built with
+    the first row.
     """
 
     def __init__(self, r: int, n: int) -> None:
@@ -198,14 +199,10 @@ class GroupTable:
         self._colors = list(itertools.product(range(r), repeat=n))
         self._perm_index = {p: i for i, p in enumerate(self._perms)}
         self._color_index = {c: i for i, c in enumerate(self._colors)}
-        size = len(self._colors)
-        # the rank of (p, d) is self._blocks[p][d]
-        self._blocks = [
-            list(range(p * size, (p + 1) * size)) for p in range(len(self._perms))
-        ]
-        self._value_rows: dict[int, list[list[int]]] = {}
+        self._value_rows: dict[int, list[int]] = {}
         self._shift_rows: dict[int, list[int]] = {}
         self._sum_rows: dict[int, list[int]] = {}
+        self._sum_gathers: dict[int, itemgetter] = {}
 
     def __len__(self) -> int:
         return len(self._perms) * len(self._colors)
@@ -223,19 +220,32 @@ class GroupTable:
     def left_row(self, s: int) -> list[int]:
         """``[rank(s*t) for t in range(len(self))]``."""
         p, c = divmod(s, len(self._colors))
+        blocks = self._blocks
         row: list[int] = []
-        for block, shifted in zip(self._value_row(p), self._shift_row(c)):
-            row.extend(map(block.__getitem__, self._sum_row(shifted)))
+        for v, shifted in zip(self._value_row(p), self._shift_row(c)):
+            row.extend(self._sum_gather(shifted)(blocks[v]))
         return row
 
-    def _value_row(self, p: int) -> list[list[int]]:
-        """The rank block of p∘q, for every value permutation q."""
+    def product(self, s: int, t: int) -> int:
+        """``rank(s*t)``, read from one value row, shift row and sum row."""
+        size = len(self._colors)
+        p, c = divmod(s, size)
+        q, d = divmod(t, size)
+        return self._value_row(p)[q] * size + self._sum_row(self._shift_row(c)[q])[d]
+
+    @functools.cached_property
+    def _blocks(self) -> list[list[int]]:
+        """The rank of (p, d) is ``_blocks[p][d]``."""
+        size = len(self._colors)
+        return [list(range(p * size, (p + 1) * size)) for p in range(len(self._perms))]
+
+    def _value_row(self, p: int) -> list[int]:
+        """Index of the value permutation p∘q, for every q."""
         row = self._value_rows.get(p)
         if row is None:
             sigma = self._perms[p]
             row = self._value_rows[p] = [
-                self._blocks[self._perm_index[tuple(sigma[v - 1] for v in q)]]
-                for q in self._perms
+                self._perm_index[tuple(sigma[v - 1] for v in q)] for q in self._perms
             ]
         return row
 
@@ -261,6 +271,17 @@ class GroupTable:
             ]
         return row
 
+    def _sum_gather(self, c: int) -> itemgetter:
+        """Gathers ``block[i]`` for every i in ``_sum_row(c)``."""
+        gather = self._sum_gathers.get(c)
+        if gather is None:
+            row = self._sum_row(c)
+            # itemgetter of one index returns the item, not a 1-sequence
+            gather = self._sum_gathers[c] = (
+                itemgetter(*row) if len(row) > 1 else itemgetter(slice(1))
+            )
+        return gather
+
 
 @functools.lru_cache(maxsize=8)
 def group_table(r: int, n: int) -> GroupTable:
@@ -268,20 +289,24 @@ def group_table(r: int, n: int) -> GroupTable:
     return GroupTable(r, n)
 
 
+def _descent_flags(word: Word, a: int = 0, b: int = 1) -> Iterator[bool]:
+    """Whether x_i > x_{i+1} color-first, for i = 0..n, reading the word
+    framed as x_0 = 0_a, x_1..x_n = word, x_{n+1} = 0_b."""
+    framed = ((a, 0), *word, (b, 0))
+    return map(gt, framed, framed[1:])
+
+
 def descent_positions(word: Word, a: int = 0, b: int = 1) -> frozenset[int]:
-    """Positions i in [0, n] with x_i > x_{i+1} color-first, reading the
-    word framed as x_0 = 0_a, x_1..x_n = word, x_{n+1} = 0_b.
+    """Positions i in [0, n] where the word framed by 0_a and 0_b descends.
 
     The default frame (0_0, 0_1) gives the descent set: 0 never occurs, and
     n occurs exactly when the last color is nonzero.
     """
-    framed = ((a, 0), *word, (b, 0))
-    descents = map(gt, framed, framed[1:])
-    return frozenset(itertools.compress(itertools.count(), descents))
+    return frozenset(itertools.compress(itertools.count(), _descent_flags(word, a, b)))
 
 
 def word_des(word: Word) -> int:
-    return len(descent_positions(word))
+    return sum(_descent_flags(word))
 
 
 def word_intdes(word: Word) -> int:

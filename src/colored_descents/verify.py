@@ -397,6 +397,7 @@ def _closure_record(partition: ClassPartition) -> tuple[dict, object]:
             [(j, k) not in failed_pairs for k in range(K)] for j in range(K)
         ],
         "witnesses": [f.to_json() for f in rep.failures[:3]],
+        "products": rep.products,
     }
     return record, rep
 

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from operator import itemgetter
 
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 import colored_descents.algebra
 from colored_descents.group import (
-    ColoredPermutation,
+    GroupTable,
     SizeCapExceeded,
     _compose_words,
     compose,
@@ -18,7 +19,9 @@ from colored_descents.group import (
     parse_one_line,
     word_des,
 )
+from colored_descents.verify import CLOSURE_DES_SWEEP
 from colored_descents.algebra import (
+    ClosureFailure,
     GroupAlgebraElement,
     RationalPolynomial,
     algebra_add,
@@ -113,23 +116,33 @@ def naive_product(a, b):
 
 @st.composite
 def element_pair(draw):
-    """Two elements of one G(r, n); coefficients are either drawn from a few
-    values of both signs, so that products cancel, or all distinct, so that
-    grouping the support by value saves nothing."""
+    """Two elements of one G(r, n).  Coefficients are drawn from a few
+    values of both signs, so that products cancel; or all distinct, so that
+    grouping the support by value saves nothing; or the support is the whole
+    group, every element carrying one nonzero value except a few drawn
+    ones, so that the most common coefficient is not 0."""
     r = draw(st.integers(1, 3))
     n = draw(st.integers(0, 3))
     words = [pi.letters for pi in enumerate_group(r, n)]
+    fractions = st.fractions(-5, 5, max_denominator=6)
 
     def element():
-        if draw(st.booleans()):
+        mode = draw(st.sampled_from(["few", "distinct", "full"]))
+        if mode == "few":
             values = st.sampled_from([Fraction(1), Fraction(-1), Fraction(1, 2)])
             unique_by = itemgetter(0)
         else:
-            values = st.fractions(-5, 5, max_denominator=6)
+            values = fractions
             unique_by = (itemgetter(0), itemgetter(1))
         terms = draw(st.lists(st.tuples(st.sampled_from(words), values),
                               unique_by=unique_by, max_size=len(words)))
-        return GroupAlgebraElement(r, n, dict(terms))
+        coeffs = {}
+        if mode == "full":
+            base = draw(fractions.filter(bool))
+            coeffs = dict.fromkeys(words, base)
+            terms = terms[: len(words) // 2]
+        coeffs.update(terms)
+        return GroupAlgebraElement(r, n, coeffs)
 
     return element(), element()
 
@@ -162,6 +175,17 @@ class TestMultiply:
         _, sums = class_sums_des(1, 2)
         total = algebra_add(sums[0], sums[1])
         assert algebra_multiply(total, total) == algebra_scale(total, 2)
+
+    def test_common_coefficient_is_not_convolved(self, monkeypatch):
+        # a multiple of the group sum S splits as 0 + u S, so S S = |G| S
+        # needs no composition at all
+        def fail(self, s):
+            raise AssertionError("a row was built")
+
+        monkeypatch.setattr(GroupTable, "left_row", fail)
+        total = GroupAlgebraElement(3, 3, dict.fromkeys(
+            (pi.letters for pi in enumerate_group(3, 3)), Fraction(1, 2)))
+        assert algebra_multiply(total, total) == algebra_scale(total, 81)
 
     @given(element_pair())
     @settings(max_examples=80, deadline=None)
@@ -278,6 +302,28 @@ class TestPartitionRanks:
             des_partition(3, 5, max_size=100)
 
 
+def reference_closure_failures(partition):
+    """The failures of the closure check, from every pair's product counted
+    by composing words over the whole of |G|^2, scanned class by class."""
+    failures = []
+    for j, left in enumerate(partition.classes):
+        for k, right in enumerate(partition.classes):
+            counts = Counter(
+                _compose_words(partition.r, s, t)
+                for s in left.members
+                for t in right.members
+            )
+            for info in partition.classes:
+                ref = counts[info.representative]
+                other = next((w for w in info.members if counts[w] != ref), None)
+                if other is not None:
+                    failures.append(ClosureFailure(
+                        j, k, (info.representative, other, ref, counts[other])
+                    ))
+                    break
+    return tuple(failures)
+
+
 class TestClosure:
     def test_descent_partition_closed(self):
         report = verify_closure(des_partition(2, 2))
@@ -293,6 +339,35 @@ class TestClosure:
         assert verify_closure(mr_partition(2, 2)).passed
         assert verify_closure(mr_partition(3, 2)).passed
 
+    @pytest.mark.parametrize("r, n", CLOSURE_DES_SWEEP + ((4, 4),))
+    def test_tensor_matches_factorisation_count(self, r, n):
+        partition = des_partition(r, n)
+        report = verify_closure(partition)
+        assert report.tensor == factorisation_count_tensor(partition)
+        largest = max(info.size for info in partition.classes)
+        assert report.products == (group_order(r, n) - largest) ** 2
+
+    @pytest.mark.parametrize("partition", [
+        desset_partition(2, 2),
+        desset_partition(2, 3),
+        mr_partition(2, 2),
+        *(variant_partition(3, 2, a, b) for a in range(3) for b in range(3)),
+    ], ids=lambda p: f"{p.kind}-{p.r}-{p.n}")
+    def test_failures_match_full_reference(self, partition):
+        assert verify_closure(partition).failures == reference_closure_failures(
+            partition
+        )
+
+    def test_cap_is_checked_before_any_row(self, monkeypatch):
+        partition = des_partition(2, 6)
+
+        def fail(self, s):
+            raise AssertionError("a row was built")
+
+        monkeypatch.setattr(GroupTable, "left_row", fail)
+        with pytest.raises(SizeCapExceeded, match="507691024 products exceed cap"):
+            verify_closure(partition)
+
 
 def factorisation_count_tensor(partition):
     """m[j][k][i] = #{s : class(s) = j, class(s^-1 rep_i) = k}, by enumeration."""
@@ -300,11 +375,11 @@ def factorisation_count_tensor(partition):
     label = {w: info.index for info in partition.classes for w in info.members}
     K = len(partition.classes)
     tensor = [[[0] * K for _ in range(K)] for _ in range(K)]
+    group = [(s.letters, inverse(s).letters) for s in enumerate_group(r, n)]
     for info in partition.classes:
-        rep = ColoredPermutation(r, info.representative)
-        for s in enumerate_group(r, n):
-            t = compose(inverse(s), rep)
-            tensor[label[s.letters]][label[t.letters]][info.index] += 1
+        for s, s_inverse in group:
+            t = _compose_words(r, s_inverse, info.representative)
+            tensor[label[s]][label[t]][info.index] += 1
     return tensor
 
 

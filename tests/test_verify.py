@@ -44,3 +44,13 @@ def test_jobs_are_capped_by_cases_and_cpus(monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         assert run_suite("order-poly", r=2, n=2, jobs=10_000).to_json() == serial
     assert started == [8, 3]
+
+
+def test_closure_records_count_products():
+    # G(3, 4): 1944 elements, largest descent class 1131; G(2, 2): 8 and 3
+    report = run_suite("closure-des", r=3, n=4)
+    assert [g["products"] for g in report.details["groups"]] == [813**2]
+    assert run_suite("closure-des", r=3, n=4, jobs=2).to_json() == report.to_json()
+    desset = run_suite("closure-desset", r=2, n=2)
+    assert desset.details["closure"]["products"] == 5**2
+    assert [f["products"] for f in desset.failures] == [5**2]

@@ -207,16 +207,9 @@ def _convolve(
     """For each rank set T in rights, how often s*t = p over s in left, t in T.
 
     Each left row is built once and every right set is gathered from it,
-    so the per-pair work runs in C.  When the right sets hold fewer ranks
-    than a row has blocks, each product is read from the small tables
-    instead, so a product of small supports builds no row.
+    so the per-pair work runs in C.
     """
     counts = [Counter() for _ in rights]
-    if sum(map(len, rights)) < math.factorial(table.n):
-        for s in left:
-            for count, ranks in zip(counts, rights):
-                count.update(table.product(s, t) for t in ranks)
-        return counts
     gathers = [itemgetter(*ranks) for ranks in rights]
     singles = [len(ranks) == 1 for ranks in rights]
     for s in left:

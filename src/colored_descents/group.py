@@ -184,11 +184,10 @@ class GroupTable:
     d + (c permuted by q), so the product is read off three small tables:
     value products (n! x n!), color vectors permuted by a value
     permutation (r^n x n!) and color addition mod r (r^n x r^n).  Their
-    rows are built on first use, since a product of small supports in a
-    large group touches only a few of them.  Product rows are gathered
-    from shared lists of the rank ints, one block per value permutation,
-    so building a row allocates no int objects; the blocks are built with
-    the first row.
+    rows are built on first use, so only the rows that some left factor
+    reaches are built.  Product rows are gathered from shared lists of the
+    rank ints, one block per value permutation, so building a row
+    allocates no int objects; the blocks are built with the first row.
     """
 
     def __init__(self, r: int, n: int) -> None:
@@ -201,7 +200,6 @@ class GroupTable:
         self._color_index = {c: i for i, c in enumerate(self._colors)}
         self._value_rows: dict[int, list[int]] = {}
         self._shift_rows: dict[int, list[int]] = {}
-        self._sum_rows: dict[int, list[int]] = {}
         self._sum_gathers: dict[int, itemgetter] = {}
 
     def __len__(self) -> int:
@@ -225,13 +223,6 @@ class GroupTable:
         for v, shifted in zip(self._value_row(p), self._shift_row(c)):
             row.extend(self._sum_gather(shifted)(blocks[v]))
         return row
-
-    def product(self, s: int, t: int) -> int:
-        """``rank(s*t)``, read from one value row, shift row and sum row."""
-        size = len(self._colors)
-        p, c = divmod(s, size)
-        q, d = divmod(t, size)
-        return self._value_row(p)[q] * size + self._sum_row(self._shift_row(c)[q])[d]
 
     @functools.cached_property
     def _blocks(self) -> list[list[int]]:
@@ -260,22 +251,16 @@ class GroupTable:
             ]
         return row
 
-    def _sum_row(self, c: int) -> list[int]:
-        """Index of color vector c + d mod r, for every d."""
-        row = self._sum_rows.get(c)
-        if row is None:
+    def _sum_gather(self, c: int) -> itemgetter:
+        """Gathers ``block[i]``, i being the index of color vector c + d
+        mod r, for every d."""
+        gather = self._sum_gathers.get(c)
+        if gather is None:
             colors, r = self._colors[c], self.r
-            row = self._sum_rows[c] = [
+            row = [
                 self._color_index[tuple((a + b) % r for a, b in zip(colors, d))]
                 for d in self._colors
             ]
-        return row
-
-    def _sum_gather(self, c: int) -> itemgetter:
-        """Gathers ``block[i]`` for every i in ``_sum_row(c)``."""
-        gather = self._sum_gathers.get(c)
-        if gather is None:
-            row = self._sum_row(c)
             # itemgetter of one index returns the item, not a 1-sequence
             gather = self._sum_gathers[c] = (
                 itemgetter(*row) if len(row) > 1 else itemgetter(slice(1))

@@ -20,13 +20,13 @@ from .group import (
     enumerate_group,
     group_elements,
     group_order,
+    group_words,
     identity,
     inverse,
     mr_key,
     parse_one_line,
 )
 from .posets import (
-    AnchoredWord,
     ColoredPoset,
     chain_poset,
     colored_linear_extensions,

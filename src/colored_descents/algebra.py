@@ -27,12 +27,12 @@ from .group import (
     GroupTable,
     SizeCapExceeded,
     Word,
-    _check_order,
     _descent_flags,
     _run_parts,
     descent_positions,
     group_order,
     group_table,
+    group_words,
     identity,
     word_des,
     word_str,
@@ -276,10 +276,8 @@ def partition_by(
     max_size: int = DEFAULT_MAX_GROUP_SIZE,
 ) -> ClassPartition:
     """Classes of the words of G(r, n) with equal ``label_fn(word)``, read
-    off one walk of the group table in rank order and sorted by label."""
-    _check_order(r, n, max_size)  # before the table, which holds |G| ints
-    table = group_table(r, n)
-    order = tuple(map(table.word, range(len(table))))
+    off one walk of the group in rank order and sorted by label."""
+    order = tuple(group_words(r, n, max_size))
     by_label: dict[object, list[int]] = {}
     for rank, w in enumerate(order):
         by_label.setdefault(label_fn(w), []).append(rank)

@@ -9,6 +9,7 @@ duration; everything except the duration is byte-stable across runs.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -20,12 +21,15 @@ from typing import Iterable, Iterator, Optional, Sequence
 from . import __version__, schemas
 from .group import (
     DEFAULT_MAX_GROUP_SIZE,
+    ColoredComposition,
+    ColoredPermutation,
+    DescentProfile,
     SizeCapExceeded,
-    descent_profile,
-    enumerate_group,
-    mr_key,
+    _run_parts,
+    group_words,
     parse_one_line,
     permutation_to_json,
+    word_str,
 )
 from .algebra import idempotent_class_table
 from .ppartitions import eulerian_polynomial, omega_pi
@@ -139,7 +143,14 @@ def _emit(chunks: Iterable[str], output: Optional[str]) -> None:
         except OSError as exc:
             raise UsageError(f"cannot write --output {output}: {exc.strerror}") from exc
     else:
-        sys.stdout.writelines(chunks)
+        try:
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()
+        except BrokenPipeError as exc:
+            # the reader is gone: send what is still buffered to devnull, so
+            # the interpreter's final flush cannot fail a second time
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise UsageError(f"cannot write to stdout: {exc.strerror}") from exc
 
 
 def _dump_json(obj: object) -> str:
@@ -164,40 +175,39 @@ def _csv_line(fields: Sequence[object]) -> str:
 def cmd_enumerate(args: argparse.Namespace) -> int:
     r = args.r if args.r is not None else 2
     n = args.n if args.n is not None else 2
+    # group_words checks the cap here, so a refused run writes nothing
     rows = (
-        (rank, pi, descent_profile(pi), mr_key(pi))
-        for rank, pi in enumerate(enumerate_group(r, n, args.max_group_size))
+        (rank, w, word_str(w), DescentProfile.of_word(w), _run_parts(w))
+        for rank, w in enumerate(group_words(r, n, args.max_group_size))
     )
     if args.format == "json":
         records = (
             {
                 "rank": rank,
-                "word": str(pi),
-                "permutation": permutation_to_json(pi),
+                "word": text,
+                "permutation": permutation_to_json(ColoredPermutation(r, w)),
                 "descent_set": sorted(profile.descent_set),
                 "des": profile.des,
                 "intdes": profile.intdes,
-                "mr_key": [list(part) for part in key.parts],
+                "mr_key": [list(part) for part in parts],
             }
-            for rank, pi, profile, key in rows
+            for rank, w, text, profile, parts in rows
         )
         _emit(_json_array(records, "enumerate_record"), args.output)
-        return EXIT_OK
-    if args.format == "csv":
-        lines = [_csv_line(["rank", "word", "descent_set", "des", "intdes", "mr_key"])]
-        lines.extend(
-            _csv_line([rank, pi, " ".join(map(str, sorted(profile.descent_set))),
-                       profile.des, profile.intdes, key])
-            for rank, pi, profile, key in rows
-        )
+    elif args.format == "csv":
+        header = ["rank", "word", "descent_set", "des", "intdes", "mr_key"]
+        _emit(itertools.chain([_csv_line(header)], (
+            _csv_line([rank, text, " ".join(map(str, sorted(profile.descent_set))),
+                       profile.des, profile.intdes, ColoredComposition(parts)])
+            for rank, _, text, profile, parts in rows
+        )), args.output)
     else:
-        lines = [
-            f"{rank:>6}  {str(pi):<24} Des={sorted(profile.descent_set)} "
+        _emit((
+            f"{rank:>6}  {text:<24} Des={sorted(profile.descent_set)} "
             f"des={profile.des} intdes={profile.intdes} "
-            f"runs={[list(part) for part in key.parts]}\n"
-            for rank, pi, profile, key in rows
-        ]
-    _emit(lines, args.output)
+            f"runs={[list(part) for part in parts]}\n"
+            for rank, _, text, profile, parts in rows
+        ), args.output)
     return EXIT_OK
 
 

@@ -37,10 +37,6 @@ class ColoredLetter(NamedTuple):
     def __str__(self) -> str:
         return f"{self.value}_{self.color}"
 
-    def shifted(self, k: int, r: int) -> "ColoredLetter":
-        """Copy of this letter with the color lowered by k modulo r."""
-        return ColoredLetter((self.color - k) % r, self.value)
-
 
 # A word is a plain tuple of letters.  Hot loops use raw (color, value)
 # tuples, which hash and compare equal to ColoredLetter instances.
@@ -152,20 +148,29 @@ def _check_order(r: int, n: int, max_size: int) -> None:
         )
 
 
-def enumerate_group(
+def group_words(
     r: int, n: int, max_size: int = DEFAULT_MAX_GROUP_SIZE
-) -> Iterator[ColoredPermutation]:
-    """Yield all r^n * n! group elements in canonical order.
+) -> Iterator[Word]:
+    """Stream the words of all r^n * n! group elements in canonical order.
 
     Underlying permutations run in lexicographic order; for each, the color
     vector counts in base r with the least significant digit at position n.
+    The order is checked against the cap at the call, before any word.
     """
     _check_order(r, n, max_size)
-    for values in itertools.permutations(range(1, n + 1)):
-        for colors in itertools.product(range(r), repeat=n):
-            yield ColoredPermutation(
-                r, tuple(ColoredLetter(c, v) for v, c in zip(values, colors))
-            )
+    return (
+        tuple(map(ColoredLetter, colors, values))
+        for values in itertools.permutations(range(1, n + 1))
+        for colors in itertools.product(range(r), repeat=n)
+    )
+
+
+def enumerate_group(
+    r: int, n: int, max_size: int = DEFAULT_MAX_GROUP_SIZE
+) -> Iterator[ColoredPermutation]:
+    """Every group element, in ``group_words`` order."""
+    for word in group_words(r, n, max_size):
+        yield ColoredPermutation(r, word)
 
 
 def group_elements(
@@ -177,7 +182,7 @@ def group_elements(
 class GroupTable:
     """Integer multiplication table of G(r, n) = (Z_r)^n ⋊ S_n.
 
-    An element's rank is its position in ``enumerate_group`` order: the
+    An element's rank is its position in ``group_words`` order: the
     lexicographic index p of its value permutation times r^n plus the
     base-r index c of its color vector.  For s = (p, c) and t = (q, d),
     ``compose`` gives s*t the value permutation p∘q and the color vector
@@ -206,7 +211,7 @@ class GroupTable:
         return len(self._perms) * len(self._colors)
 
     def rank(self, word: Word) -> int:
-        """Position of word in ``enumerate_group`` order."""
+        """Position of word in ``group_words`` order."""
         perm = self._perm_index[tuple(v for _, v in word)]
         return perm * len(self._colors) + self._color_index[tuple(c for c, _ in word)]
 

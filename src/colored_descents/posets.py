@@ -1,12 +1,12 @@
-"""Colored posets, anchored words, and colored linear extensions.
+"""Colored posets and their colored linear extensions.
 
 A colored poset is a strict partial order on a set of colored letters
 drawn from the zero letters 0_1, ..., 0_{r-1} (always present, always a
 chain) together with nonzero letters of pairwise distinct values.  Its
-linear extensions are anchored words: shuffles of a colored word with the
-zero chain.  Splitting an anchored word at the zero letters and lowering
-the colors of the i-th block by i produces colored words whose shuffles
-are the colored linear extensions.
+linear extensions are plain words: shuffles of a colored word with the
+zero chain.  Splitting such a word at the zero letters and lowering the
+colors of the i-th block by i produces colored words whose shuffles are
+the colored linear extensions.
 
 Nonzero letters are allowed to use any distinct positive values, not just
 1..n; words produced here become group elements after order-preserving
@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-from .group import ColoredLetter, ColoredPermutation, SizeCapExceeded, Word, word_str
+from .group import ColoredLetter, ColoredPermutation, SizeCapExceeded, Word
 
 DEFAULT_MAX_EXTENSIONS = 1_000_000
 
@@ -120,35 +120,15 @@ def make_poset(
     return ColoredPoset(r, n, frozenset(elems), less)
 
 
-@dataclass(frozen=True)
-class AnchoredWord:
-    """A shuffle of a colored word with the zero chain 0_1 ... 0_{r-1}."""
-
-    r: int
-    word: Word
-
-    def __post_init__(self) -> None:
-        word = tuple(ColoredLetter(*x) for x in self.word)
-        object.__setattr__(self, "word", word)
-        zeros = tuple(x for x in word if x.value == 0)
-        if zeros != _zero_letters(self.r):
-            raise ValueError("zero letters must be exactly 0_1 ... 0_{r-1} in order")
-        values = [x.value for x in word if x.value != 0]
-        if len(values) != len(set(values)):
-            raise ValueError("nonzero letters must have distinct values")
-
-    def __str__(self) -> str:
-        return word_str(self.word)
-
-
-def linear_extensions(poset: ColoredPoset) -> list[AnchoredWord]:
-    """All anchored words extending the poset, in lexicographic order."""
+def linear_extensions(poset: ColoredPoset) -> list[Word]:
+    """All words extending the poset, zero letters included, in
+    lexicographic order."""
     if poset.unsatisfiable:
         return []
     cap = DEFAULT_MAX_EXTENSIONS
     elems = sorted(poset.elements)
     pred = poset.predecessors
-    out: list[AnchoredWord] = []
+    out: list[Word] = []
     placed: set[ColoredLetter] = set()
     word: list[ColoredLetter] = []
 
@@ -156,7 +136,7 @@ def linear_extensions(poset: ColoredPoset) -> list[AnchoredWord]:
         if len(word) == len(elems):
             if len(out) >= cap:
                 raise SizeCapExceeded(f"more than {cap} linear extensions")
-            out.append(AnchoredWord(poset.r, tuple(word)))
+            out.append(tuple(word))
             return
         for e in elems:
             if e not in placed and pred[e] <= placed:
@@ -170,20 +150,21 @@ def linear_extensions(poset: ColoredPoset) -> list[AnchoredWord]:
     return out
 
 
-def decompose_anchored(w: AnchoredWord) -> tuple[Word, ...]:
-    """Split at the zero letters into r blocks, lowering colors blockwise.
+def decompose_anchored(r: int, word: Word) -> tuple[Word, ...]:
+    """Split a linear extension at its zero letters into r blocks, lowering
+    colors blockwise.
 
     Block i holds the letters between 0_i and 0_{i+1} with every color
     lowered by i modulo r.
     """
-    blocks: list[list[ColoredLetter]] = [[] for _ in range(w.r)]
+    blocks: list[list] = [[] for _ in range(r)]
     i = 0
-    for letter in w.word:
-        if letter.value == 0:
+    for c, v in word:
+        if v == 0:
             i += 1
         else:
-            blocks[i].append(letter.shifted(i, w.r))
-    return tuple(tuple(b) for b in blocks)
+            blocks[i].append(((c - i) % r, v))
+    return tuple(map(tuple, blocks))
 
 
 def shuffles(words: Sequence[Word]) -> Iterator[Word]:
@@ -215,7 +196,7 @@ def colored_linear_extensions(poset: ColoredPoset) -> list[Word]:
     out: list[Word] = []
     cap = DEFAULT_MAX_EXTENSIONS
     for w in linear_extensions(poset):
-        for shuffled in shuffles(decompose_anchored(w)):
+        for shuffled in shuffles(decompose_anchored(poset.r, w)):
             if len(out) >= cap:
                 raise SizeCapExceeded(f"more than {cap} colored extensions")
             out.append(shuffled)

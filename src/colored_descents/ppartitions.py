@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
@@ -26,9 +27,9 @@ from .group import (
     ColoredPermutation,
     SizeCapExceeded,
     Word,
-    enumerate_group,
-    inverse,
-    compose,
+    _compose_words,
+    _inverse_word,
+    group_words,
     word_des,
     word_intdes,
 )
@@ -143,10 +144,8 @@ def descent_counts(
     r: int, n: int, max_size: int = DEFAULT_MAX_GROUP_SIZE
 ) -> list[int]:
     """Histogram of descent numbers over the whole group, indices 0..n."""
-    counts = [0] * (n + 1)
-    for pi in enumerate_group(r, n, max_size):
-        counts[word_des(pi.letters)] += 1
-    return counts
+    counts = Counter(map(word_des, group_words(r, n, max_size)))
+    return [counts[d] for d in range(n + 1)]
 
 
 def eulerian_polynomial(
@@ -183,12 +182,11 @@ def barred_zigzag_count(
     Omega_sigma(j) * C(k + n - des(sigma^{-1} pi), n).
     """
     I = frozenset(I)
-    n = pi.n
+    r, n = pi.r, pi.n
     total = 0
     for w in colored_linear_extensions(zigzag_poset(I, pi)):
-        sigma = ColoredPermutation(pi.r, w)
-        tau = compose(inverse(sigma), pi)
-        total += omega_word(w, j) * binom(k + n - word_des(tau.letters), n)
+        tau = _compose_words(r, _inverse_word(r, w), pi.letters)
+        total += omega_word(w, j) * binom(k + n - word_des(tau), n)
     return total
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
@@ -36,10 +35,9 @@ from .group import (
     ColoredPermutation,
     _compose_words,
     _inverse_word,
-    compose,
     enumerate_group,
     group_order,
-    inverse,
+    group_words,
     parse_one_line,
     word_des,
     word_str,
@@ -148,6 +146,10 @@ def _run_cases(
     if workers <= 1:
         results = [worker(*case) for case in cases]
     else:
+        # imported here: the pool pulls in multiprocessing, which a
+        # single-process run never needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(worker, *zip(*cases)))
     for res in results:
@@ -291,7 +293,8 @@ def _check_worked_example(report: SuiteReport, mode: str) -> None:
         report.failures.append({"worked_example": mode, "got": sorted(got)})
     if mode == "zigzag":
         quotients = {
-            str(compose(inverse(ColoredPermutation(ex["r"], w)), pi)) for w in words
+            word_str(_compose_words(pi.r, _inverse_word(pi.r, w), pi.letters))
+            for w in words
         }
         report.checks += 1
         if quotients != ex["quotients"]:
@@ -320,8 +323,8 @@ def _barred_case(pi: ColoredPermutation, j_max: int, k_max: int) -> dict:
     r, n = pi.r, pi.n
     # (des(s), des(s^-1 pi)) over the group; the convolution needs nothing else
     des_pairs = [
-        (word_des(s.letters), word_des(compose(inverse(s), pi).letters))
-        for s in enumerate_group(r, n)
+        (word_des(s), word_des(_compose_words(r, _inverse_word(r, s), pi.letters)))
+        for s in group_words(r, n)
     ]
     checks = 0
     failures = []

@@ -124,10 +124,31 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1
         assert not target.exists()
 
+    def test_closed_stdout_pipe_is_usage_error(self):
+        # the reader takes one line of about 1.5 MB and closes the pipe, as
+        # ``| head -1`` does: the write fails like an unwritable --output
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(colored_descents.__file__).parents[1]), env.get("PYTHONPATH", "")]
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "colored_descents", "enumerate",
+             "--r", "3", "--n", "5", "--format", "csv"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        assert proc.stdout.readline().startswith("rank,word,")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert "Traceback" not in err
+        assert err.startswith("error:")
+        assert len(err.splitlines()) == 1
+
     def test_cli_import_stays_light(self):
         # numpy or sympy at start-up would add to every command's time and
         # memory; jsonschema is a test-only dependency, so writing JSON must
-        # not import it either
+        # not import it either; a single-process run needs no process pool
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             [str(Path(colored_descents.__file__).parents[1]), env.get("PYTHONPATH", "")]
@@ -137,7 +158,9 @@ class TestExitCodes:
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    codes = [main(['verify', 'closure-desset', '--format', 'json']),\n"
             "             main(['enumerate', '--format', 'json'])]\n"
-            "print(codes, sorted({'numpy', 'sympy', 'jsonschema'} & set(sys.modules)))"
+            "heavy = {'numpy', 'sympy', 'jsonschema', 'concurrent.futures.process'}\n"
+            "print(codes, sorted(m for m in sys.modules\n"
+            "                    if m in heavy or m.split('.')[0] == 'multiprocessing'))"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True,

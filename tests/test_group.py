@@ -14,6 +14,7 @@ from colored_descents.group import (
     enumerate_group,
     group_elements,
     group_order,
+    group_words,
     identity,
     inverse,
     mr_key,
@@ -113,6 +114,11 @@ class TestEnumeration:
     def test_cap(self):
         with pytest.raises(SizeCapExceeded):
             group_elements(10, 10, max_size=1000)
+
+    def test_word_stream_checks_cap_at_the_call(self):
+        # the call itself raises; no word has to be drawn first
+        with pytest.raises(SizeCapExceeded):
+            group_words(10, 10, max_size=1000)
 
 
 class TestDescents:
@@ -301,6 +307,7 @@ def test_group_table_matches_compose(s):
     # ranks are enumeration positions, and word() inverts rank()
     assert [table.rank(pi.letters) for pi in elements] == list(range(len(elements)))
     assert [table.word(i) for i in range(len(table))] == [pi.letters for pi in elements]
+    assert list(group_words(s.r, s.n)) == [table.word(p) for p in range(len(table))]
     assert table.word(table.rank(s.letters)) == s.letters
     row = table.left_row(table.rank(s.letters))
     assert row == [table.rank(compose(s, t).letters) for t in elements]

@@ -1,10 +1,13 @@
 import itertools
+import random
+from dataclasses import dataclass
 
 import pytest
 
 from colored_descents.group import (
     ColoredLetter,
     ColoredPermutation,
+    Word,
     compose,
     descent_positions,
     enumerate_group,
@@ -13,7 +16,7 @@ from colored_descents.group import (
     word_str,
 )
 from colored_descents.posets import (
-    AnchoredWord,
+    _zero_letters,
     chain_poset,
     colored_linear_extensions,
     decompose_anchored,
@@ -26,8 +29,100 @@ from colored_descents.posets import (
     standardize_word,
     zigzag_poset,
 )
+from colored_descents.ppartitions import random_colored_poset
 
 L = ColoredLetter
+
+
+# Reference pipeline: the object-per-extension version the package used
+# before its streams became plain words.  Every extension is validated as an
+# AnchoredWord and every letter is rebuilt when its color is lowered.
+
+@dataclass(frozen=True)
+class AnchoredWord:
+    """A shuffle of a colored word with the zero chain 0_1 ... 0_{r-1}."""
+
+    r: int
+    word: Word
+
+    def __post_init__(self) -> None:
+        word = tuple(ColoredLetter(*x) for x in self.word)
+        object.__setattr__(self, "word", word)
+        zeros = tuple(x for x in word if x.value == 0)
+        if zeros != _zero_letters(self.r):
+            raise ValueError("zero letters must be exactly 0_1 ... 0_{r-1} in order")
+        values = [x.value for x in word if x.value != 0]
+        if len(values) != len(set(values)):
+            raise ValueError("nonzero letters must have distinct values")
+
+
+def reference_linear_extensions(poset):
+    if poset.unsatisfiable:
+        return []
+    elems = sorted(poset.elements)
+    pred = poset.predecessors
+    out = []
+    placed = set()
+    word = []
+
+    def rec():
+        if len(word) == len(elems):
+            out.append(AnchoredWord(poset.r, tuple(word)))
+            return
+        for e in elems:
+            if e not in placed and pred[e] <= placed:
+                placed.add(e)
+                word.append(e)
+                rec()
+                placed.discard(e)
+                word.pop()
+
+    rec()
+    return out
+
+
+def reference_decompose(w):
+    blocks = [[] for _ in range(w.r)]
+    i = 0
+    for letter in w.word:
+        if letter.value == 0:
+            i += 1
+        else:
+            blocks[i].append(ColoredLetter((letter.color - i) % w.r, letter.value))
+    return tuple(tuple(b) for b in blocks)
+
+
+def reference_shuffles(words):
+    parts = tuple(tuple(w) for w in words if w)
+
+    def go(pos):
+        exhausted = True
+        for wi, w in enumerate(parts):
+            i = pos[wi]
+            if i < len(w):
+                exhausted = False
+                pos[wi] += 1
+                for rest in go(pos):
+                    yield (w[i],) + rest
+                pos[wi] -= 1
+        if exhausted:
+            yield ()
+
+    yield from go([0] * len(parts))
+
+
+def reference_colored_extensions(poset):
+    return [
+        shuffled
+        for w in reference_linear_extensions(poset)
+        for shuffled in reference_shuffles(reference_decompose(w))
+    ]
+
+
+def assert_matches_reference(poset):
+    anchored = reference_linear_extensions(poset)
+    assert linear_extensions(poset) == [w.word for w in anchored]
+    assert colored_linear_extensions(poset) == reference_colored_extensions(poset)
 
 
 @pytest.fixture
@@ -71,7 +166,7 @@ class TestMakePoset:
 
 class TestLinearExtensions:
     def test_hasse_example(self, hasse_example):
-        words = [str(w) for w in linear_extensions(hasse_example)]
+        words = [word_str(w) for w in linear_extensions(hasse_example)]
         assert sorted(words) == sorted(
             [
                 "0_1 0_2 2_1 1_0 3_1 0_3",
@@ -89,33 +184,41 @@ class TestLinearExtensions:
         poset = zigzag_poset(frozenset(), pi)
         words = linear_extensions(poset)
         assert len(words) == 1
-        assert words[0].word[:3] == pi.letters
+        assert words[0][:3] == pi.letters
 
     def test_zero_chain_word(self):
         poset = make_poset(2, 0, [], [])
-        assert [str(w) for w in linear_extensions(poset)] == ["0_1"]
+        assert [word_str(w) for w in linear_extensions(poset)] == ["0_1"]
 
 
 class TestDecompose:
     def test_shifted_block(self):
-        w = AnchoredWord(4, (L(1, 0), L(2, 0), L(1, 2), L(0, 1), L(1, 3), L(3, 0)))
-        parts = decompose_anchored(w)
+        w = (L(1, 0), L(2, 0), L(1, 2), L(0, 1), L(1, 3), L(3, 0))
+        parts = decompose_anchored(4, w)
         assert parts == ((), (), (L(3, 2), L(2, 1), L(3, 3)), ())
 
     def test_leading_word_unshifted(self):
         pi = parse_one_line("2_1 1_0", 3)
-        w = AnchoredWord(3, pi.letters + (L(1, 0), L(2, 0)))
-        assert decompose_anchored(w) == (pi.letters, (), ())
+        assert decompose_anchored(3, pi.letters + (L(1, 0), L(2, 0))) == (pi.letters, (), ())
 
     def test_trailing_word_fully_shifted(self):
         pi = parse_one_line("2_1 1_0", 3)
-        w = AnchoredWord(3, (L(1, 0), L(2, 0)) + pi.letters)
-        parts = decompose_anchored(w)
-        assert parts == ((), (), tuple(x.shifted(2, 3) for x in pi.letters))
+        parts = decompose_anchored(3, (L(1, 0), L(2, 0)) + pi.letters)
+        assert parts == ((), (), tuple(L((x.color - 2) % 3, x.value) for x in pi.letters))
 
-    def test_anchored_word_validation(self):
-        with pytest.raises(ValueError):
-            AnchoredWord(3, (L(2, 0), L(1, 0)))  # zero letters out of order
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_random_posets(self, r):
+        for seed in range(40):
+            assert_matches_reference(random_colored_poset(random.Random(seed), r=r))
+
+    def test_every_zigzag_and_chain_poset_of_g33(self):
+        for pi in enumerate_group(3, 3):
+            for size in range(4):
+                for I in itertools.combinations(range(1, 4), size):
+                    assert_matches_reference(zigzag_poset(I, pi))
+                    assert_matches_reference(chain_poset(I, pi))
 
 
 class TestShuffles:

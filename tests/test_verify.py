@@ -1,3 +1,4 @@
+import concurrent.futures
 import os
 
 import colored_descents.algebra
@@ -36,7 +37,8 @@ def test_jobs_are_capped_by_cases_and_cpus(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", FakeExecutor)
+    # verify imports the pool only when it starts one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakeExecutor)
     serial = run_suite("order-poly", r=2, n=2, jobs=1).to_json()
     # G(2, 2) has 8 elements, so order-poly runs 8 cases; one usable worker
     # (cpu_count unknown) runs them in-process

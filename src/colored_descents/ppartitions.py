@@ -9,14 +9,18 @@ map f from P into [0,r-1] x [0,j] (ordered color-first) such that
         f(a) < f(b) when a exceeds b after lowering both colors by k;
   (iv)  only a letter of color k may map to the top value (k, j).
 
-The brute-force counter enumerates all maps and is the oracle for every
-closed form in this module.  All arithmetic is exact integer arithmetic.
+The brute-force counter searches the maps depth first, testing every
+condition on every map it counts and dropping a partial map at its first
+failure.  It uses no extension theorem and no closed form, and is the
+oracle for every closed form in this module.  All arithmetic is exact
+integer arithmetic.
 """
 from __future__ import annotations
 
 import itertools
 import math
 import random
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
@@ -72,7 +76,17 @@ def _shift_gt(a: ColoredLetter, b: ColoredLetter, k: int, r: int) -> bool:
 def count_ppartitions_bruteforce(
     poset: ColoredPoset, j: int, max_maps: int = DEFAULT_MAX_MAPS
 ) -> int:
-    """Count colored P-partitions with parts in [0, j] by enumeration."""
+    """Count colored P-partitions with parts in [0, j] by exhaustive search.
+
+    An image (k, v) is the integer k*(j+1) + v, so integer order is the
+    color-first order.  Zero letters are pinned by (i), and each free letter
+    ranges over the images that (iv) allows.  The free letters are assigned
+    depth first.  Every relation is tested by (ii) and (iii) at the deeper
+    of its two letters, as soon as both images are known: it bounds the
+    deeper letter's images, so a partial map is dropped at its first
+    failure.  The cap bounds the (r(j+1))^|free| candidate maps and is
+    checked before any search.
+    """
     if j < 0:
         raise ValueError("j must be nonnegative")
     if poset.unsatisfiable:
@@ -85,32 +99,71 @@ def count_ppartitions_bruteforce(
             f"{n_images}^{len(free)} candidate maps exceed cap {max_maps}"
         )
 
-    fixed = {x: (x.color, 0) for x in poset.elements if x.value == 0}
-    images = [(k, v) for k in range(r) for v in range(j + 1)]
-    pairs = [
-        (a, b, [_shift_gt(a, b, k, r) for k in range(r)])
-        for a, b in poset.less
+    base = j + 1
+    depth = {x: d for d, x in enumerate(free)}
+    # lo[d]..hi[d]: the images that relations with zero letters leave letter
+    # d; below[d] / above[d]: shallower letters e with e < d / d < e, and
+    # whether each color forces strictness, read at the image of e
+    lo = [0] * len(free)
+    hi = [n_images - 1] * len(free)
+    below: list[list[tuple[int, tuple[bool, ...]]]] = [[] for _ in free]
+    above: list[list[tuple[int, tuple[bool, ...]]]] = [[] for _ in free]
+    for a, b in poset.less:
+        strict = tuple(_shift_gt(a, b, k, r) for k in range(r))
+        da, db = depth.get(a), depth.get(b)
+        if da is None and db is None:  # both pinned by (i)
+            fa, fb = a.color * base, b.color * base
+            if fa > fb or (fa == fb and strict[a.color]):
+                return 0
+        elif da is None:
+            fa = a.color * base
+            lo[db] = max(lo[db], fa + strict[a.color])
+        elif db is None:
+            fb = b.color * base
+            hi[da] = min(hi[da], fb - strict[b.color])
+        elif da < db:
+            below[db].append((da, strict))
+        else:
+            above[da].append((db, strict))
+    if not free:
+        return 1
+    # condition (iv): the top value (k, j) only for a letter of color k
+    allowed = [
+        [i for i in range(n_images) if i % base != j or i // base == x.color]
+        for x in free
     ]
-    index = {x: i for i, x in enumerate(free)}
 
+    f = [0] * len(free)
+
+    def choices(d: int) -> list[int]:
+        low, high = lo[d], hi[d]
+        for e, strict in below[d]:
+            fe = f[e]
+            low = max(low, fe + strict[fe // base])
+        for e, strict in above[d]:
+            fe = f[e]
+            high = min(high, fe - strict[fe // base])
+        row = allowed[d]
+        return row[bisect_left(row, low) : bisect_right(row, high)]
+
+    # depth first with one iterator of choices per assigned letter; the
+    # last letter's choices are counted, not visited
+    last = len(free) - 1
+    if last == 0:
+        return len(choices(0))
     count = 0
-    for assignment in itertools.product(images, repeat=len(free)):
-        ok = True
-        for x in free:
-            fk, fv = assignment[index[x]]
-            if fv == j and fk != x.color:  # condition (iv)
-                ok = False
+    pending = [iter(choices(0))]
+    while pending:
+        d = len(pending) - 1
+        for image in pending[d]:
+            f[d] = image
+            if d + 1 == last:
+                count += len(choices(last))
+            else:
+                pending.append(iter(choices(d + 1)))
                 break
-        if not ok:
-            continue
-        for a, b, strict_at in pairs:
-            fa = fixed.get(a) or assignment[index[a]]
-            fb = fixed.get(b) or assignment[index[b]]
-            if fa > fb or (fa == fb and strict_at[fa[0]]):
-                ok = False
-                break
-        if ok:
-            count += 1
+        else:
+            pending.pop()
     return count
 
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from colored_descents.group import (
     word_des,
 )
 from colored_descents.posets import (
+    ColoredPoset,
     chain_poset,
     colored_linear_extensions,
     detached_chain_poset,
@@ -38,6 +40,48 @@ from colored_descents.ppartitions import (
 )
 
 L = ColoredLetter
+
+
+# Reference counter: the full-product filter the package used before its
+# pruned search.  It builds every map into [0, r-1] x [0, j] and tests
+# conditions (ii)-(iv) on each one.
+
+def _shift_gt(a, b, k, r):
+    return ((a.color - k) % r, a.value) > ((b.color - k) % r, b.value)
+
+
+def reference_count(poset: ColoredPoset, j: int) -> int:
+    if poset.unsatisfiable:
+        return 0
+    r = poset.r
+    free = poset.nonzero
+    fixed = {x: (x.color, 0) for x in poset.elements if x.value == 0}
+    images = [(k, v) for k in range(r) for v in range(j + 1)]
+    pairs = [
+        (a, b, [_shift_gt(a, b, k, r) for k in range(r)])
+        for a, b in poset.less
+    ]
+    index = {x: i for i, x in enumerate(free)}
+
+    count = 0
+    for assignment in itertools.product(images, repeat=len(free)):
+        ok = True
+        for x in free:
+            fk, fv = assignment[index[x]]
+            if fv == j and fk != x.color:  # condition (iv)
+                ok = False
+                break
+        if not ok:
+            continue
+        for a, b, strict_at in pairs:
+            fa = fixed.get(a) or assignment[index[a]]
+            fb = fixed.get(b) or assignment[index[b]]
+            if fa > fb or (fa == fb and strict_at[fa[0]]):
+                ok = False
+                break
+        if ok:
+            count += 1
+    return count
 
 
 def hasse_example():
@@ -91,6 +135,73 @@ class TestBruteForce:
     def test_negative_j_rejected(self):
         with pytest.raises(ValueError):
             count_ppartitions_bruteforce(make_poset(2, 0, [], []), -1)
+
+    def test_cap_is_checked_before_any_search(self, monkeypatch):
+        # 12^30 candidate maps: the refusal must come before any relation
+        # is looked at, let alone a map
+        letters = [L(v % 3, v) for v in range(1, 31)]
+        poset = make_poset(3, 30, letters, list(zip(letters, letters[1:])))
+
+        def no_search(*args):
+            raise AssertionError("searched past the cap")
+
+        monkeypatch.setattr("colored_descents.ppartitions._shift_gt", no_search)
+        with pytest.raises(SizeCapExceeded, match=r"^12\^30 candidate maps exceed cap 10$"):
+            count_ppartitions_bruteforce(poset, 3, max_maps=10)
+
+    def test_large_one_color_antichain(self):
+        # 1^3000 candidate maps pass the cap; the search must not recurse
+        poset = make_poset(1, 3000, [L(0, v) for v in range(1, 3001)], [])
+        assert count_ppartitions_bruteforce(poset, 0) == 1
+        assert count_ppartitions_bruteforce(poset, 0, max_maps=1) == 1
+
+
+class TestAgainstReference:
+    """The pruned search equals the full-product filter."""
+
+    def test_every_zigzag_chain_and_detached_chain_poset(self):
+        posets = set()  # a quarter of them coincide, e.g. the antichains
+        for r in (1, 2, 3):
+            for pi in enumerate_group(r, 3):
+                posets.add(detached_chain_poset(pi))
+                for size in range(4):
+                    for I in itertools.combinations(range(1, 4), size):
+                        posets.update((zigzag_poset(I, pi), chain_poset(I, pi)))
+        for poset in posets:
+            for j in range(4):
+                assert count_ppartitions_bruteforce(poset, j) == reference_count(poset, j)
+
+    def test_unsatisfiable_poset_counts_zero(self):
+        poset = zigzag_poset({2}, parse_one_line("1_0 2_0", 1))
+        assert poset.unsatisfiable
+        assert count_ppartitions_bruteforce(poset, 2) == reference_count(poset, 2) == 0
+
+
+@st.composite
+def small_posets(draw):
+    """Random colored posets with r <= 4 and up to 5 values, or zig-zag
+    posets, which include the unsatisfiable r = 1 boundary."""
+    r = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        return random_colored_poset(rng, max_values=5, r=r)
+    n = draw(st.integers(1, 4))
+    values = draw(st.permutations(list(range(1, n + 1))))
+    colors = draw(st.lists(st.integers(0, r - 1), min_size=n, max_size=n))
+    pi = ColoredPermutation(r, tuple(L(c, v) for v, c in zip(values, colors)))
+    return zigzag_poset(draw(st.sets(st.integers(1, n))), pi)
+
+
+@given(small_posets(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_pruned_search_matches_reference_random(poset, data):
+    # j <= 3, as far as the reference's full product stays under 10^5 maps
+    ell = len(poset.nonzero)
+    j_top = max(
+        j for j in range(4) if j == 0 or (poset.r * (j + 1)) ** ell <= 10**5
+    )
+    j = data.draw(st.integers(0, j_top))
+    assert count_ppartitions_bruteforce(poset, j) == reference_count(poset, j)
 
 
 class TestOmegaPi:

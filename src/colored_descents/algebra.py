@@ -405,6 +405,15 @@ class ClosureReport:
         return not self.failures
 
 
+def closure_products(sizes: Sequence[int]) -> int:
+    """(|G| - max |C|)^2, the compositions ``verify_closure`` makes for
+    classes of these sizes; raises SizeCapExceeded above the pairs cap."""
+    products = (sum(sizes) - max(sizes)) ** 2
+    if products > DEFAULT_MAX_PAIRS:
+        raise SizeCapExceeded(f"{products} products exceed cap {DEFAULT_MAX_PAIRS}")
+    return products
+
+
 def verify_closure(partition: ClassPartition) -> ClosureReport:
     """Check every product of two class sums against the span of the sums.
 
@@ -425,11 +434,8 @@ def verify_closure(partition: ClassPartition) -> ClosureReport:
     carried on the report.
     """
     classes = [info.ranks for info in partition.classes]
-    size = len(partition.order)
     big = max(range(len(classes)), key=lambda k: len(classes[k]))
-    products = (size - len(classes[big])) ** 2
-    if products > DEFAULT_MAX_PAIRS:
-        raise SizeCapExceeded(f"{products} products exceed cap {DEFAULT_MAX_PAIRS}")
+    products = closure_products([len(ranks) for ranks in classes])
     table = group_table(partition.r, partition.n)
     others = [k for k in range(len(classes)) if k != big]
     rest = [classes[k] for k in others]
@@ -460,7 +466,7 @@ def verify_closure(partition: ClassPartition) -> ClosureReport:
         corner.update(row)
     for k, column in zip(others, columns):
         check(big, k, column, len(classes[k]), -1)
-    check(big, big, corner, 2 * len(classes[big]) - size)
+    check(big, big, corner, 2 * len(classes[big]) - len(partition.order))
     failures.sort(key=lambda f: (f.left, f.right))
     return ClosureReport(
         partition.kind,

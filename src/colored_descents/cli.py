@@ -9,6 +9,7 @@ duration; everything except the duration is byte-stable across runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -16,20 +17,19 @@ import os
 import sys
 import time
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import __version__, schemas
 from .group import (
     DEFAULT_MAX_GROUP_SIZE,
     ColoredComposition,
     ColoredPermutation,
-    DescentProfile,
     SizeCapExceeded,
     _run_parts,
+    descent_positions,
     group_words,
     parse_one_line,
     permutation_to_json,
-    word_str,
 )
 from .algebra import idempotent_class_table
 from .ppartitions import eulerian_polynomial, omega_pi
@@ -157,15 +157,59 @@ def _dump_json(obj: object) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _json_array(records: Iterable[dict], schema_name: str) -> Iterator[str]:
+def _render_record(record: dict) -> str:
+    """A record as ``_dump_json`` writes it, indented one level into an array."""
+    return json.dumps(record, indent=2, sort_keys=True).replace("\n", "\n  ")
+
+
+def _json_array(
+    records: Iterable[dict],
+    schema_name: str,
+    render: Callable[[dict], str] = _render_record,
+) -> Iterator[str]:
     """``_dump_json(list(records))`` in chunks, one record at a time, each
     validated before it is yielded."""
     sep = "[\n  "
     for record in records:
         schemas.validate(record, schema_name)
-        yield sep + json.dumps(record, indent=2, sort_keys=True).replace("\n", "\n  ")
+        yield sep + render(record)
         sep = ",\n  "
     yield "[]\n" if sep == "[\n  " else "\n]\n"
+
+
+def _enumerate_renderer() -> Callable[[dict], str]:
+    """``_render_record`` for enumerate records, put together from fragments.
+
+    Each distinct letter, descent set and run composition is rendered once,
+    by ``json.dumps`` at its depth in the array, and memoised; a tuple key
+    renders as the list it stands for.  The records hold only ints, as
+    ``cmd_enumerate`` builds them, so equal keys render alike.
+    """
+
+    def at_depth(spaces: int) -> Callable[[tuple], str]:
+        indent = "\n" + " " * spaces
+        return functools.cache(
+            lambda key: json.dumps(key, indent=2).replace("\n", indent)
+        )
+
+    letters, descent_sets, mr_keys = at_depth(8), at_depth(4), at_depth(4)
+
+    def render(record: dict) -> str:
+        perm = record["permutation"]
+        block = ",\n        ".join([letters(tuple(x)) for x in perm["letters"]])
+        return (
+            f'{{\n    "des": {record["des"]},'
+            f'\n    "descent_set": {descent_sets(tuple(record["descent_set"]))},'
+            f'\n    "intdes": {record["intdes"]},'
+            f'\n    "mr_key": {mr_keys(tuple(map(tuple, record["mr_key"])))},'
+            f'\n    "permutation": {{\n      "letters": '
+            + (f"[\n        {block}\n      ]" if block else "[]")
+            + f',\n      "n": {perm["n"]},\n      "r": {perm["r"]}\n    }},'
+            f'\n    "rank": {record["rank"]},'
+            f'\n    "word": {json.dumps(record["word"])}\n  }}'
+        )
+
+    return render
 
 
 def _csv_line(fields: Sequence[object]) -> str:
@@ -175,9 +219,12 @@ def _csv_line(fields: Sequence[object]) -> str:
 def cmd_enumerate(args: argparse.Namespace) -> int:
     r = args.r if args.r is not None else 2
     n = args.n if args.n is not None else 2
-    # group_words checks the cap here, so a refused run writes nothing
+    letter_text = {(c, v): f"{v}_{c}" for c in range(r) for v in range(1, n + 1)}
+    # group_words checks the cap here, so a refused run writes nothing; des
+    # and intdes are read off the one descent set, intdes dropping position n
     rows = (
-        (rank, w, word_str(w), DescentProfile.of_word(w), _run_parts(w))
+        (rank, w, " ".join(map(letter_text.__getitem__, w)), descent_positions(w),
+         _run_parts(w))
         for rank, w in enumerate(group_words(r, n, args.max_group_size))
     )
     if args.format == "json":
@@ -186,27 +233,32 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
                 "rank": rank,
                 "word": text,
                 "permutation": permutation_to_json(ColoredPermutation(r, w)),
-                "descent_set": sorted(profile.descent_set),
-                "des": profile.des,
-                "intdes": profile.intdes,
+                "descent_set": sorted(dset),
+                "des": len(dset),
+                "intdes": len(dset) - (n in dset),
                 "mr_key": [list(part) for part in parts],
             }
-            for rank, w, text, profile, parts in rows
+            for rank, w, text, dset, parts in rows
         )
-        _emit(_json_array(records, "enumerate_record"), args.output)
+        _emit(_json_array(records, "enumerate_record", _enumerate_renderer()),
+              args.output)
     elif args.format == "csv":
+        dset_text = functools.cache(lambda dset: " ".join(map(str, sorted(dset))))
+        parts_text = functools.cache(lambda parts: str(ColoredComposition(parts)))
         header = ["rank", "word", "descent_set", "des", "intdes", "mr_key"]
         _emit(itertools.chain([_csv_line(header)], (
-            _csv_line([rank, text, " ".join(map(str, sorted(profile.descent_set))),
-                       profile.des, profile.intdes, ColoredComposition(parts)])
-            for rank, _, text, profile, parts in rows
+            f"{rank},{text},{dset_text(dset)},{len(dset)},{len(dset) - (n in dset)},"
+            f"{parts_text(parts)}\n"
+            for rank, _, text, dset, parts in rows
         )), args.output)
     else:
+        dset_text = functools.cache(lambda dset: str(sorted(dset)))
+        parts_text = functools.cache(lambda parts: str([list(part) for part in parts]))
         _emit((
-            f"{rank:>6}  {text:<24} Des={sorted(profile.descent_set)} "
-            f"des={profile.des} intdes={profile.intdes} "
-            f"runs={[list(part) for part in parts]}\n"
-            for rank, _, text, profile, parts in rows
+            f"{rank:>6}  {text:<24} Des={dset_text(dset)} "
+            f"des={len(dset)} intdes={len(dset) - (n in dset)} "
+            f"runs={parts_text(parts)}\n"
+            for rank, _, text, dset, parts in rows
         ), args.output)
     return EXIT_OK
 

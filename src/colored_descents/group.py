@@ -52,7 +52,8 @@ def parse_letter(token: str) -> ColoredLetter:
 
 
 def word_str(word: Word) -> str:
-    return " ".join(str(ColoredLetter(*letter)) for letter in word)
+    """Space-separated ``value_color`` tokens, as ``str(ColoredLetter)``."""
+    return " ".join([f"{v}_{c}" for c, v in word])
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,7 @@ from .group import (
     ColoredPermutation,
     SizeCapExceeded,
     Word,
+    _check_order,
     _compose_words,
     _inverse_word,
     group_words,
@@ -201,11 +202,30 @@ def descent_counts(
     return [counts[d] for d in range(n + 1)]
 
 
+def descent_class_sizes(r: int, n: int) -> list[int]:
+    """Histogram of descent numbers, indices 0..n, without a group walk.
+
+    Steingrimsson's identity (rx+1)^n = sum_d |C_d| C(x+n-d, n) for
+    x = 0..n is lower unitriangular in (x, d): the binomial is 0 for d > x
+    and 1 for d = x.  So forward substitution gives each |C_x|, in integers.
+    ``descent_counts`` is the group walk that checks it.
+    """
+    if r < 1 or n < 0:
+        raise ValueError("need r >= 1 and n >= 0")
+    sizes: list[int] = []
+    for x in range(n + 1):
+        below = sum(size * binom(x + n - d, n) for d, size in enumerate(sizes))
+        sizes.append((r * x + 1) ** n - below)
+    return sizes
+
+
 def eulerian_polynomial(
     r: int, n: int, max_size: int = DEFAULT_MAX_GROUP_SIZE
 ) -> TruncatedSeries:
-    """Descent-number generating polynomial, trailing zeros trimmed."""
-    counts = descent_counts(r, n, max_size)
+    """Descent-number generating polynomial, trailing zeros trimmed.  The
+    coefficients are the closed class sizes; the group cap still applies."""
+    _check_order(r, n, max_size)
+    counts = descent_class_sizes(r, n)
     while len(counts) > 1 and counts[-1] == 0:
         counts.pop()
     return TruncatedSeries(tuple(counts))

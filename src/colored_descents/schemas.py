@@ -5,7 +5,10 @@ referenced from the README.
 """
 from __future__ import annotations
 
+import functools
+import math
 import re
+from typing import Callable, NoReturn
 
 _FRACTION = {"type": "string", "pattern": "^-?[0-9]+(/[0-9]+)?$"}
 _DECIMAL = {"type": "string", "pattern": "^-?[0-9]+$"}
@@ -157,38 +160,112 @@ _TYPES = {
     "integer": lambda x: (isinstance(x, int) and not isinstance(x, bool))
     or (isinstance(x, float) and x.is_integer()),
 }
+_IS_NUMBER = _TYPES["number"]
+# the usual type of each, accepted without a call
+_EXACT = {"object": dict, "array": list, "string": str, "number": int, "integer": int}
 
 
-def _check(obj: object, schema: dict, path: str) -> None:
-    """Draft 2020-12 semantics of the eight keywords the schemas use, each
-    applied only to instances of its own type."""
+class _Failure(Exception):
+    """A failed keyword.  Each level it unwinds through adds its step to
+    ``path``, innermost first, so a path is built only for a failure."""
 
-    def fail(keyword: str) -> None:
-        raise SchemaError(f"{path}: fails {keyword} {schema[keyword]!r}")
+    def __init__(self, keyword: str, value: object) -> None:
+        super().__init__(keyword)
+        self.keyword, self.value, self.path = keyword, value, []
 
-    if "type" in schema and not _TYPES[schema["type"]](obj):
-        fail("type")
-    if isinstance(obj, dict):
-        if any(key not in obj for key in schema.get("required", ())):
-            fail("required")
-        for key, sub in schema.get("properties", {}).items():
+
+def _compile(schema: dict) -> Callable[[object], None]:
+    """A checker for schema, with the Draft 2020-12 semantics of the eight
+    keywords the schemas use, each applied only to instances of its own
+    type.  Subschemas, patterns and keyword values are read once, here, and
+    a typed schema checks only its own type's keywords."""
+    required = tuple(schema.get("required", ()))
+    properties = tuple(
+        (key, _compile(sub)) for key, sub in schema.get("properties", {}).items()
+    )
+    min_items = schema.get("minItems", 0)
+    max_items = schema.get("maxItems", math.inf)
+    items = _compile(schema["items"]) if "items" in schema else None
+    pattern = re.compile(schema["pattern"]).search if "pattern" in schema else None
+    minimum = schema.get("minimum")
+
+    def fail(keyword: str) -> NoReturn:
+        raise _Failure(keyword, schema[keyword])
+
+    def on_object(obj: dict) -> None:
+        for key in required:
+            if key not in obj:
+                fail("required")
+        for key, sub in properties:
             if key in obj:
-                _check(obj[key], sub, f"{path}.{key}")
-    elif isinstance(obj, list):
-        if len(obj) < schema.get("minItems", 0):
+                try:
+                    sub(obj[key])
+                except _Failure as exc:
+                    exc.path.append(f".{key}")
+                    raise
+
+    def on_array(obj: list) -> None:
+        if len(obj) < min_items:
             fail("minItems")
-        if len(obj) > schema.get("maxItems", len(obj)):
+        if len(obj) > max_items:
             fail("maxItems")
-        if "items" in schema:
-            for i, item in enumerate(obj):
-                _check(item, schema["items"], f"{path}[{i}]")
-    elif isinstance(obj, str):
-        if "pattern" in schema and not re.search(schema["pattern"], obj):
+        if items is not None:
+            i = 0
+            try:
+                for i, item in enumerate(obj):
+                    items(item)
+            except _Failure as exc:
+                exc.path.append(f"[{i}]")
+                raise
+
+    def on_string(obj: str) -> None:
+        if pattern is not None and not pattern(obj):
             fail("pattern")
-    elif _TYPES["number"](obj) and obj < schema.get("minimum", obj):
-        fail("minimum")
+
+    def on_number(obj: float) -> None:
+        if minimum is not None and obj < minimum:
+            fail("minimum")
+
+    if "type" not in schema:
+
+        def check(obj: object) -> None:
+            if isinstance(obj, dict):
+                on_object(obj)
+            elif isinstance(obj, list):
+                on_array(obj)
+            elif isinstance(obj, str):
+                on_string(obj)
+            elif _IS_NUMBER(obj):
+                on_number(obj)
+
+        return check
+
+    kind = schema["type"]
+    is_type = _TYPES[kind]
+    exact = _EXACT[kind]
+    on_type = {"object": on_object, "array": on_array, "string": on_string}.get(
+        kind, on_number
+    )
+
+    def check_typed(obj: object) -> None:
+        if type(obj) is not exact and not is_type(obj):
+            fail("type")
+        on_type(obj)
+
+    return check_typed
+
+
+@functools.cache
+def _checker(schema_name: str) -> Callable[[object], None]:
+    return _compile(SCHEMAS[schema_name])
 
 
 def validate(obj: object, schema_name: str) -> None:
-    """Check obj before it is written; raises SchemaError."""
-    _check(obj, SCHEMAS[schema_name], "$")
+    """Check obj before it is written; raises SchemaError.  Each schema is
+    compiled on its first use."""
+    check = _checker(schema_name)
+    try:
+        check(obj)
+    except _Failure as exc:
+        path = "$" + "".join(reversed(exc.path))
+        raise SchemaError(f"{path}: fails {exc.keyword} {exc.value!r}") from None

@@ -20,6 +20,7 @@ from .algebra import (
     algebra_unit,
     algebra_zero,
     collapse,
+    closure_products,
     collapsed_product,
     des_partition,
     desset_partition,
@@ -33,6 +34,7 @@ from .algebra import (
 from .group import (
     DEFAULT_MAX_GROUP_SIZE,
     ColoredPermutation,
+    _check_order,
     _compose_words,
     _inverse_word,
     enumerate_group,
@@ -54,6 +56,7 @@ from .ppartitions import (
     barred_chain_total,
     binom,
     count_ppartitions_bruteforce,
+    descent_class_sizes,
     omega_Ppi,
     omega_word,
     random_colored_poset,
@@ -388,6 +391,16 @@ def suite_steingrimsson(
 # ---------------------------------------------------------------------------
 # closure suites.
 
+def _closable_des_partition(r: int, n: int, max_group_size: int) -> ClassPartition:
+    """``des_partition(r, n)``, refused before any word of it is built when
+    its closure check would exceed the pairs cap: the closed class sizes
+    give the pairs.  The group cap is checked first, so a run over both
+    caps is refused for its group order."""
+    _check_order(r, n, max_group_size)
+    closure_products(descent_class_sizes(r, n))
+    return des_partition(r, n, max_group_size)
+
+
 def _closure_record(partition: ClassPartition) -> tuple[dict, object]:
     rep = verify_closure(partition)
     K = len(partition.classes)
@@ -414,7 +427,7 @@ def suite_closure_des(
     combos = _groups(r, n, CLOSURE_DES_SWEEP)
     report = SuiteReport("closure-des", {"groups": combos})
     for rr, nn in combos:
-        partition = des_partition(rr, nn, max_group_size)
+        partition = _closable_des_partition(rr, nn, max_group_size)
         record, rep = _closure_record(partition)
         if not rep.passed:
             report.failures.append(record)
@@ -487,7 +500,7 @@ def suite_idempotents(
     combos = _groups(r, n, IDEMPOTENT_GROUPS)
     report = SuiteReport("idempotents", {"groups": combos})
     for rr, nn in combos:
-        partition = des_partition(rr, nn, max_group_size)
+        partition = _closable_des_partition(rr, nn, max_group_size)
         closure = verify_closure(partition)
         if not closure.passed:
             report.failures.append({"r": rr, "n": nn, "closure": False})

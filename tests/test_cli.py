@@ -72,6 +72,26 @@ class TestExitCodes:
     def test_usage_error(self, capsys):
         assert main(["order-poly", "--r", "2"]) == 1
 
+    def test_closure_refused_before_any_partition(self, capsys, monkeypatch):
+        # G(2,6) needs (46080 - 23548)^2 pairs; the closed class sizes say
+        # so before a word of the partition is built
+        def fail(*args, **kwargs):
+            raise AssertionError("a partition was built")
+
+        monkeypatch.setattr("colored_descents.verify.des_partition", fail)
+        for suite in ("closure-des", "idempotents"):
+            code, out, err = run(
+                capsys, "verify", suite, "--r", "2", "--n", "6", "--format", "json"
+            )
+            assert (code, out) == (2, "")
+            assert err == "error: 507691024 products exceed cap 250000000\n"
+        # over both caps, the group cap is reported
+        code, _, err = run(
+            capsys, "verify", "closure-des", "--r", "2", "--n", "6",
+            "--max-group-size", "1000",
+        )
+        assert (code, err) == (2, "error: group of order 46080 exceeds cap 1000\n")
+
     def test_unknown_suite(self, capsys):
         assert main(["verify", "nope"]) == 1
 

@@ -22,6 +22,7 @@ from colored_descents.group import (
     permutation_from_json,
     permutation_to_json,
     word_intdes,
+    word_str,
 )
 from colored_descents.group import _run_parts
 
@@ -119,6 +120,13 @@ class TestEnumeration:
         # the call itself raises; no word has to be drawn first
         with pytest.raises(SizeCapExceeded):
             group_words(10, 10, max_size=1000)
+
+
+def test_word_str_matches_letter_str():
+    for r, n in ((1, 0), (2, 3), (4, 2)):
+        for w in group_words(r, n):
+            assert word_str(w) == " ".join(str(ColoredLetter(*x)) for x in w)
+    assert word_str(((3, 12), (0, 1))) == "12_3 1_0"
 
 
 class TestDescents:

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from colored_descents import ppartitions
 from colored_descents.group import (
     ColoredLetter,
     ColoredPermutation,
     compose,
     enumerate_group,
+    group_order,
     identity,
     inverse,
     parse_one_line,
@@ -30,6 +32,8 @@ from colored_descents.ppartitions import (
     barred_zigzag_count,
     binom,
     count_ppartitions_bruteforce,
+    descent_class_sizes,
+    descent_counts,
     eulerian_polynomial,
     omega_Ppi,
     omega_pi,
@@ -38,6 +42,7 @@ from colored_descents.ppartitions import (
     random_colored_poset,
     verify_steingrimsson,
 )
+from colored_descents.verify import CLOSURE_DES_SWEEP
 
 L = ColoredLetter
 
@@ -287,6 +292,47 @@ class TestEulerianPolynomial:
     def test_counts_sum_to_group_order(self):
         assert sum(eulerian_polynomial(3, 3).coefficients) == 27 * 6
 
+    def test_reads_closed_sizes_without_a_group_walk(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("the group was walked")
+
+        monkeypatch.setattr(ppartitions, "group_words", fail)
+        assert eulerian_polynomial(2, 6).coefficients == (
+            1, 722, 10543, 23548, 10543, 722, 1,
+        )
+        assert eulerian_polynomial(1, 4).coefficients == (1, 11, 11, 1)
+
+    def test_group_cap_still_holds(self):
+        with pytest.raises(SizeCapExceeded, match="group of order 46080 exceeds cap 100"):
+            eulerian_polynomial(2, 6, max_size=100)
+        with pytest.raises(ValueError):
+            eulerian_polynomial(0, 2)
+
+
+class TestClosedClassSizes:
+    """The closed sizes against the group walk, an independent count."""
+
+    @pytest.mark.parametrize(
+        "r, n", [*CLOSURE_DES_SWEEP, (2, 5), (4, 4)], ids=lambda v: str(v)
+    )
+    def test_match_group_walk(self, r, n):
+        assert descent_class_sizes(r, n) == descent_counts(r, n)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 8), st.integers(0, 8))
+    def test_match_group_walk_random(self, r, n):
+        if group_order(r, n) > 50_000:
+            return
+        assert descent_class_sizes(r, n) == descent_counts(r, n)
+
+    def test_far_beyond_enumeration(self):
+        # C_0 = {e}; a word descending everywhere lists its values in
+        # decreasing order once each is given a nonzero color: (r-1)^n words
+        for r, n in ((1, 6), (2, 12), (5, 20)):
+            sizes = descent_class_sizes(r, n)
+            assert sum(sizes) == group_order(r, n)
+            assert (sizes[0], sizes[n]) == (1, (r - 1) ** n)
+
 
 class TestSteingrimsson:
     def test_spot_values(self):
@@ -297,6 +343,12 @@ class TestSteingrimsson:
                 coeffs[d] * binom(j + 2 - d, 2) for d in range(len(coeffs))
             )
         assert verify_steingrimsson(2, 2, 2)
+
+    def test_oracle_walks_the_group(self, monkeypatch):
+        # a wrong histogram from the group walk must fail the check, so
+        # the oracle does not read the closed sizes it is meant to test
+        monkeypatch.setattr(ppartitions, "descent_counts", lambda r, n, max_size: [1, 5, 2])
+        assert not verify_steingrimsson(2, 2, 2)
 
     def test_single_letter(self):
         assert verify_steingrimsson(1, 1, 3)

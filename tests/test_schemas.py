@@ -130,6 +130,9 @@ RECORD = {
     ("idempotent_table", {**TABLE, "r": 0}, "$.r: fails minimum"),
     ("enumerate_record", {**RECORD, "rank": -1.0}, "$.rank: fails minimum"),
     ("count_record", {**COUNT, "count": "1/2"}, "$.count: fails pattern"),
+    ("enumerate_record",
+     {**RECORD, "permutation": {"r": 2, "n": 2, "letters": [[1, 0], [2, -1]]}},
+     "$.permutation.letters[1][1]: fails minimum 0"),
 ])
 def test_each_keyword_rejects(name, doc, message):
     with pytest.raises(SchemaError) as info:

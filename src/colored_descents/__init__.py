@@ -18,7 +18,6 @@ from .group import (
     descent_profile,
     descent_set_variant,
     enumerate_group,
-    group_elements,
     group_order,
     group_words,
     identity,
@@ -51,7 +50,6 @@ from .ppartitions import (
 from .algebra import (
     ClassPartition,
     GroupAlgebraElement,
-    RationalPolynomial,
     algebra_add,
     algebra_multiply,
     algebra_scale,

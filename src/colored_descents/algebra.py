@@ -537,14 +537,6 @@ def structure_constants(
     return closure.tensor
 
 
-def collapse(element: GroupAlgebraElement, partition: ClassPartition) -> tuple:
-    """Class coordinates of an element known to lie in the span."""
-    check = is_in_span(element, partition)
-    if not check.in_span:
-        raise ValueError("element is not constant on the partition's classes")
-    return check.vector
-
-
 def collapsed_product(
     x: Sequence[Scalar], y: Sequence[Scalar], tensor: list[list[list[int]]]
 ) -> tuple:
@@ -563,54 +555,6 @@ def collapsed_product(
                 if row[i]:
                     out[i] += coeff * row[i]
     return tuple(out)
-
-
-@dataclass(frozen=True)
-class RationalPolynomial:
-    """Dense univariate polynomial with exact rational coefficients."""
-
-    coefficients: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        coeffs = [Fraction(c) for c in self.coefficients]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        object.__setattr__(self, "coefficients", tuple(coeffs))
-
-    @classmethod
-    def one(cls) -> "RationalPolynomial":
-        return cls((Fraction(1),))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    def coeff(self, i: int) -> Fraction:
-        if 0 <= i < len(self.coefficients):
-            return self.coefficients[i]
-        return Fraction(0)
-
-    def __add__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        size = max(len(self.coefficients), len(other.coefficients))
-        return RationalPolynomial(
-            tuple(self.coeff(i) + other.coeff(i) for i in range(size))
-        )
-
-    def __mul__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        out = [Fraction(0)] * (len(self.coefficients) + len(other.coefficients))
-        for i, a in enumerate(self.coefficients):
-            for j, b in enumerate(other.coefficients):
-                out[i + j] += a * b
-        return RationalPolynomial(tuple(out))
-
-    def scale(self, q: Scalar) -> "RationalPolynomial":
-        return RationalPolynomial(tuple(q * c for c in self.coefficients))
-
-    def __call__(self, x: Scalar) -> Fraction:
-        out = Fraction(0)
-        for c in reversed(self.coefficients):
-            out = out * Fraction(x) + c
-        return out
 
 
 def structure_poly_eval(
@@ -655,28 +599,31 @@ def verify_phi_identity(
 
 
 def idempotent_class_table(r: int, n: int) -> list[list[Fraction]]:
-    """alpha[i][d]: coefficient of x^i in C((x-1)/r + n - d, n)."""
-    polys = []
+    """alpha[i][d]: coefficient of x^i in C((x-1)/r + n - d, n).
+
+    r^n n! C((x-1)/r + n - d, n) is the integer polynomial
+    prod_{m<n} (x - 1 + r(n - d - m)), so each column is one integer
+    product, divided by r^n n! only at the end.
+    """
+    scale = r**n * math.factorial(n)
+    columns = []
     for d in range(n + 1):
-        p = RationalPolynomial.one()
+        poly = [1]  # coefficients, constant term first
         for m in range(n):
-            p = p * RationalPolynomial((Fraction(-1, r) + n - d - m, Fraction(1, r)))
-        polys.append(p.scale(Fraction(1, math.factorial(n))))
-    return [[polys[d].coeff(i) for d in range(n + 1)] for i in range(n + 1)]
+            c = r * (n - d - m) - 1
+            poly = [c * a + b for a, b in zip(poly + [0], [0] + poly)]
+        columns.append(poly)
+    return [[Fraction(column[i], scale) for column in columns] for i in range(n + 1)]
 
 
 def eulerian_idempotents(
     r: int, n: int, max_size: int = DEFAULT_MAX_GROUP_SIZE
 ) -> list[GroupAlgebraElement]:
     """The n+1 orthogonal idempotents c_i = sum_d alpha[i][d] C_d."""
-    return _idempotents(des_partition(r, n, max_size))
-
-
-def _idempotents(partition: ClassPartition) -> list[GroupAlgebraElement]:
-    """``eulerian_idempotents`` read off a descent partition."""
+    partition = des_partition(r, n, max_size)
     return [
         _class_element(partition, dict(enumerate(row)))
-        for row in idempotent_class_table(partition.r, partition.n)
+        for row in idempotent_class_table(r, n)
     ]
 
 

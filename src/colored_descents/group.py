@@ -174,12 +174,6 @@ def enumerate_group(
         yield ColoredPermutation(r, word)
 
 
-def group_elements(
-    r: int, n: int, max_size: int = DEFAULT_MAX_GROUP_SIZE
-) -> list[ColoredPermutation]:
-    return list(enumerate_group(r, n, max_size))
-
-
 class GroupTable:
     """Integer multiplication table of G(r, n) = (Z_r)^n ⋊ S_n.
 

@@ -46,12 +46,12 @@ from colored_descents.algebra import (
     algebra_unit,
     algebra_zero,
     class_sums_des,
-    collapse,
     collapsed_product,
     des_partition,
     desset_partition,
     eulerian_idempotents,
     idempotent_class_table,
+    is_in_span,
     structure_constants,
     structure_poly_eval,
     tensor_mass_check,
@@ -112,7 +112,7 @@ def test_c02_idempotency_and_orthogonality():
             assert closure.passed, (r, n)
             tensor = structure_constants(partition, closure)
             idems = eulerian_idempotents(r, n)
-            coords = [collapse(c, partition) for c in idems]
+            coords = [is_in_span(c, partition).vector for c in idems]
             zero = tuple(Fraction(0) for _ in partition.classes)
             for i in range(n + 1):
                 for j in range(n + 1):

@@ -23,7 +23,6 @@ from colored_descents.verify import CLOSURE_DES_SWEEP
 from colored_descents.algebra import (
     ClosureFailure,
     GroupAlgebraElement,
-    RationalPolynomial,
     algebra_add,
     algebra_multiply,
     algebra_scale,
@@ -31,7 +30,6 @@ from colored_descents.algebra import (
     algebra_zero,
     class_sums_des,
     class_sums_mr,
-    collapse,
     collapsed_product,
     delta,
     des_partition,
@@ -59,21 +57,6 @@ class TestRationalBinom:
     def test_falling_factorial_extension(self):
         assert rational_binom(Fraction(1, 2), 2) == Fraction(-1, 8)
         assert rational_binom(-1, 2) == 1
-
-
-class TestRationalPolynomial:
-    def test_trimming(self):
-        p = RationalPolynomial((Fraction(1), Fraction(0), Fraction(0)))
-        assert p.degree == 0
-
-    def test_product(self):
-        p = RationalPolynomial((Fraction(1), Fraction(1)))
-        q = RationalPolynomial((Fraction(-1), Fraction(1)))
-        assert (p * q).coefficients == (Fraction(-1), Fraction(0), Fraction(1))
-
-    def test_eval(self):
-        p = RationalPolynomial((Fraction(1), Fraction(2), Fraction(3)))
-        assert p(Fraction(1, 2)) == Fraction(1) + 1 + Fraction(3, 4)
 
 
 class TestElementArithmetic:
@@ -413,7 +396,7 @@ class TestStructureConstants:
         partition, sums = class_sums_des(2, 3)
         tensor = structure_constants(partition)
         idems = eulerian_idempotents(2, 3)
-        coords = [collapse(c, partition) for c in idems]
+        coords = [is_in_span(c, partition).vector for c in idems]
         for i in range(4):
             for j in range(4):
                 naive = algebra_multiply(idems[i], idems[j])
@@ -482,6 +465,19 @@ class TestIdempotents:
             assert [table[i][d] for d in range(4)] == [
                 Fraction(v, 750) for v in nums
             ]
+
+    def test_table_evaluates_to_the_binomial(self):
+        # sum_i alpha[i][d] x^i = C((x-1)/r + n - d, n) at n + 1 points
+        # fixes the degree-n polynomial
+        for r in range(1, 6):
+            for n in range(9):
+                table = idempotent_class_table(r, n)
+                for d in range(n + 1):
+                    for x in range(n + 1):
+                        value = sum(table[i][d] * x**i for i in range(n + 1))
+                        assert value == rational_binom(
+                            Fraction(x - 1, r) + n - d, n
+                        ), (r, n, d, x)
 
     def test_top_idempotent_is_uniform_average(self):
         for r, n in [(1, 3), (2, 2), (5, 3)]:

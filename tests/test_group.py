@@ -12,7 +12,6 @@ from colored_descents.group import (
     descent_profile,
     descent_set_variant,
     enumerate_group,
-    group_elements,
     group_order,
     group_words,
     identity,
@@ -49,7 +48,7 @@ class TestIdentity:
         for r in (1, 2, 3):
             for n in (0, 1, 2, 3):
                 e = identity(r, n)
-                for pi in group_elements(r, n):
+                for pi in enumerate_group(r, n):
                     assert compose(e, pi) == pi
                     assert compose(pi, e) == pi
 
@@ -98,12 +97,12 @@ class TestEnumeration:
         "r,n,size", [(1, 3, 6), (2, 2, 8), (5, 3, 750), (1, 0, 1)]
     )
     def test_sizes(self, r, n, size):
-        elements = group_elements(r, n)
+        elements = list(enumerate_group(r, n))
         assert len(elements) == size == group_order(r, n)
         assert len(set(elements)) == size
 
     def test_canonical_order(self):
-        elements = group_elements(2, 2)
+        elements = list(enumerate_group(2, 2))
         assert [str(p) for p in elements[:4]] == [
             "1_0 2_0",
             "1_0 2_1",
@@ -114,7 +113,7 @@ class TestEnumeration:
 
     def test_cap(self):
         with pytest.raises(SizeCapExceeded):
-            group_elements(10, 10, max_size=1000)
+            list(enumerate_group(10, 10, max_size=1000))
 
     def test_word_stream_checks_cap_at_the_call(self):
         # the call itself raises; no word has to be drawn first
@@ -311,7 +310,7 @@ def test_text_and_json_round_trip(pi):
 @settings(max_examples=60, deadline=None)
 def test_group_table_matches_compose(s):
     table = GroupTable(s.r, s.n)
-    elements = group_elements(s.r, s.n)
+    elements = list(enumerate_group(s.r, s.n))
     # ranks are enumeration positions, and word() inverts rank()
     assert [table.rank(pi.letters) for pi in elements] == list(range(len(elements)))
     assert [table.word(i) for i in range(len(table))] == [pi.letters for pi in elements]

@@ -1,5 +1,8 @@
 import concurrent.futures
 import os
+from fractions import Fraction
+
+import pytest
 
 import colored_descents.algebra
 from colored_descents import verify
@@ -15,8 +18,61 @@ def test_idempotents_build_one_partition_per_group(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(colored_descents.algebra, "partition_by", counting)
-    assert run_suite("idempotents", r=3, n=3).passed
+    report = run_suite("idempotents", r=3, n=3)
+    assert report.passed and report.checks == 18
     assert calls == [(3, 3)]
+
+
+def _ortho(i, j, *product):
+    return {"r": 2, "n": 2, "i": i, "j": j, "product": list(product)}
+
+
+SUM = {"r": 2, "n": 2, "sum": "not identity"}
+TOP = {"r": 2, "n": 2, "top": "not uniform"}
+
+
+@pytest.mark.parametrize("entry,records", [
+    # off the diagonal: orthogonality fails, and the column sum
+    ((0, 1), [
+        _ortho(0, 0, "111/392", "11/392", "111/392"),
+        _ortho(0, 2, "3/28", "3/28", "3/28"),
+        _ortho(2, 0, "3/28", "3/28", "3/28"),
+        SUM,
+    ]),
+    # on the diagonal: the column sum fails, and orthogonality
+    ((1, 1), [
+        _ortho(0, 1, "-3/28", "1/28", "-3/28"),
+        _ortho(1, 0, "-3/28", "1/28", "-3/28"),
+        _ortho(1, 1, "61/98", "4/49", "-37/98"),
+        _ortho(1, 2, "3/28", "3/28", "3/28"),
+        _ortho(2, 1, "3/28", "3/28", "3/28"),
+        SUM,
+    ]),
+    # in the top row: it is no longer uniform
+    ((2, 1), [
+        _ortho(0, 2, "-3/28", "1/28", "-3/28"),
+        _ortho(2, 0, "-3/28", "1/28", "-3/28"),
+        _ortho(2, 2, "181/392", "165/392", "181/392"),
+        SUM,
+        TOP,
+    ]),
+])
+def test_idempotents_catch_a_perturbed_table(monkeypatch, entry, records):
+    # the records are those of checking the idempotents as whole-group
+    # elements, built from the same perturbed table
+    original = colored_descents.algebra.idempotent_class_table
+
+    def perturbed(r, n):
+        table = original(r, n)
+        i, d = entry
+        table[i][d] += Fraction(1, 7)
+        return table
+
+    monkeypatch.setattr(colored_descents.algebra, "idempotent_class_table", perturbed)
+    monkeypatch.setattr(verify, "idempotent_class_table", perturbed)
+    report = run_suite("idempotents", r=2, n=2)
+    assert report.checks == 11
+    assert report.failures == records
 
 
 def test_jobs_are_capped_by_cases_and_cpus(monkeypatch):

@@ -15,8 +15,9 @@ value relabeling (see standardize_word).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from functools import cached_property, lru_cache
+from operator import itemgetter
+from typing import Callable, Iterable
 
 from .group import ColoredLetter, ColoredPermutation, SizeCapExceeded, Word
 
@@ -45,13 +46,6 @@ class ColoredPoset:
     @cached_property
     def nonzero(self) -> tuple[ColoredLetter, ...]:
         return tuple(sorted(x for x in self.elements if x.value != 0))
-
-    @cached_property
-    def predecessors(self) -> dict[ColoredLetter, frozenset[ColoredLetter]]:
-        pred: dict[ColoredLetter, set[ColoredLetter]] = {e: set() for e in self.elements}
-        for a, b in self.less:
-            pred[b].add(a)
-        return {e: frozenset(s) for e, s in pred.items()}
 
     def covers(self) -> list[tuple[ColoredLetter, ColoredLetter]]:
         """Transitive reduction of ``less``, sorted."""
@@ -99,20 +93,14 @@ def make_poset(
         if a not in elems or b not in elems:
             raise ValueError(f"relation {a} < {b} mentions an unknown element")
 
-    # Transitive closure by repeated squaring over adjacency sets.
+    # Transitive closure (Warshall): admit each element in turn as a midpoint.
     above: dict[ColoredLetter, set[ColoredLetter]] = {e: set() for e in elems}
     for a, b in pairs:
         above[a].add(b)
-    changed = True
-    while changed:
-        changed = False
+    for k in elems:
         for a in elems:
-            extra = set()
-            for b in above[a]:
-                extra |= above[b] - above[a]
-            if extra:
-                above[a] |= extra
-                changed = True
+            if k in above[a]:
+                above[a] |= above[k]
     for e in elems:
         if e in above[e]:
             raise ValueError(f"cycle detected through {e}")
@@ -120,34 +108,54 @@ def make_poset(
     return ColoredPoset(r, n, frozenset(elems), less)
 
 
-def linear_extensions(poset: ColoredPoset) -> list[Word]:
-    """All words extending the poset, zero letters included, in
-    lexicographic order."""
+def _expand(poset: ColoredPoset, colored: bool) -> list[tuple[int, Word, tuple[int, ...]]]:
+    """Every linear extension as a ``(placed mask, prefix, cuts)`` triple, in
+    lexicographic order, one letter per level over the order ideals.  Plain,
+    the prefix is the word; colored, it holds the nonzero letters lowered by
+    their block index, and the cuts its length at each zero letter."""
     if poset.unsatisfiable:
         return []
     cap = DEFAULT_MAX_EXTENSIONS
     elems = sorted(poset.elements)
-    pred = poset.predecessors
-    out: list[Word] = []
-    placed: set[ColoredLetter] = set()
-    word: list[ColoredLetter] = []
+    index = {e: i for i, e in enumerate(elems)}
+    pred = [0] * len(elems)
+    for a, b in poset.less:
+        pred[index[b]] |= 1 << index[a]
+    zeros = sum(1 << i for i, e in enumerate(elems) if not e.value)
 
-    def rec() -> None:
-        if len(word) == len(elems):
-            if len(out) >= cap:
-                raise SizeCapExceeded(f"more than {cap} linear extensions")
-            out.append(tuple(word))
-            return
-        for e in elems:
-            if e not in placed and pred[e] <= placed:
-                placed.add(e)
-                word.append(e)
-                rec()
-                placed.discard(e)
-                word.pop()
+    def child(mask: int, i: int, e: ColoredLetter) -> tuple:
+        if not colored:
+            return mask | 1 << i, (e,), ()
+        if e.value:
+            block = (mask & zeros).bit_count()
+            return mask | 1 << i, (((e.color - block) % poset.r, e.value),), ()
+        return mask | 1 << i, (), ((mask & ~zeros).bit_count(),)
 
-    rec()
-    return out
+    level = [(0, (), ())]
+    for _ in elems:
+        kids = {  # the letters an ideal admits, listed once per ideal
+            mask: [
+                child(mask, i, e)
+                for i, e in enumerate(elems)
+                if not (mask >> i & 1 or pred[i] & ~mask)
+            ]
+            for mask in {mask for mask, _, _ in level}
+        }
+        level = [
+            (placed, prefix + add, cuts + cut)
+            for mask, prefix, cuts in level
+            for placed, add, cut in kids[mask]
+        ]
+        # every prefix extends, so a level never outgrows the last one
+        if len(level) > cap:
+            raise SizeCapExceeded(f"more than {cap} linear extensions")
+    return level
+
+
+def linear_extensions(poset: ColoredPoset) -> list[Word]:
+    """All words extending the poset, zero letters included, in
+    lexicographic order."""
+    return [word for _, word, _ in _expand(poset, False)]
 
 
 def decompose_anchored(r: int, word: Word) -> tuple[Word, ...]:
@@ -167,24 +175,26 @@ def decompose_anchored(r: int, word: Word) -> tuple[Word, ...]:
     return tuple(map(tuple, blocks))
 
 
-def shuffles(words: Sequence[Word]) -> Iterator[Word]:
-    """All interleavings of words with pairwise disjoint letters."""
-    parts = tuple(tuple(w) for w in words if w)
-
-    def go(pos: list[int]) -> Iterator[Word]:
-        exhausted = True
-        for wi, w in enumerate(parts):
-            i = pos[wi]
-            if i < len(w):
-                exhausted = False
-                pos[wi] += 1
-                for rest in go(pos):
-                    yield (w[i],) + rest
-                pos[wi] -= 1
-        if exhausted:
-            yield ()
-
-    yield from go([0] * len(parts))
+@lru_cache(maxsize=1024)
+def _interleavings(cuts: tuple[int, ...], m: int) -> tuple[Callable[[Word], Word], ...]:
+    """One getter per interleaving of the blocks ``word[a:b]`` between
+    consecutive bounds ``0, *cuts, m``: ``g(word)`` is the shuffle.  Listed
+    in the order of the recursive definition, taking the lowest-indexed
+    nonempty block first."""
+    cap = DEFAULT_MAX_EXTENSIONS
+    ends = cuts + (m,)
+    level: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((), (0,) + cuts)]
+    for _ in range(m):
+        level = [
+            (picked + (nxt[b],), nxt[:b] + (nxt[b] + 1,) + nxt[b + 1 :])
+            for picked, nxt in level
+            for b in range(len(ends))
+            if nxt[b] < ends[b]
+        ]
+        if len(level) > cap:
+            raise SizeCapExceeded(f"more than {cap} colored extensions")
+    # itemgetter of one index returns the letter, of none is an error
+    return (tuple,) if m < 2 else tuple(itemgetter(*picked) for picked, _ in level)
 
 
 def colored_linear_extensions(poset: ColoredPoset) -> list[Word]:
@@ -193,14 +203,13 @@ def colored_linear_extensions(poset: ColoredPoset) -> list[Word]:
     Duplicates arising from different anchored words are retained: the
     result is a list with multiplicity.
     """
-    out: list[Word] = []
     cap = DEFAULT_MAX_EXTENSIONS
-    for w in linear_extensions(poset):
-        for shuffled in shuffles(decompose_anchored(poset.r, w)):
-            if len(out) >= cap:
-                raise SizeCapExceeded(f"more than {cap} colored extensions")
-            out.append(shuffled)
-    return out
+    states = _expand(poset, True)
+    m = len(poset.nonzero)
+    tables = [_interleavings(cuts, m) for _, _, cuts in states]
+    if sum(map(len, tables)) > cap:
+        raise SizeCapExceeded(f"more than {cap} colored extensions")
+    return [g(prefix) for (_, prefix, _), table in zip(states, tables) for g in table]
 
 
 def standardize_word(r: int, word: Word) -> ColoredPermutation:
@@ -211,58 +220,35 @@ def standardize_word(r: int, word: Word) -> ColoredPermutation:
     )
 
 
-def _boundary_relations(
-    pi: ColoredPermutation, reversed_at: frozenset[int]
-) -> tuple[list[tuple[ColoredLetter, ColoredLetter]], bool]:
-    """Chain relations pi(i) ~ pi(i+1) with pi(n+1) the anchor 0_1.
-
-    Positions in ``reversed_at`` point downward.  For r = 1 the anchor
-    plays the role of a maximum: a reversed relation at position n cannot
-    be realized, which is reported via the second component.
-    """
-    rels = []
-    unsat = False
-    anchor = ColoredLetter(1, 0)
-    for i in range(1, pi.n + 1):
-        x = pi.letters[i - 1]
-        if i < pi.n:
-            y = pi.letters[i]
-        elif pi.r >= 2:
-            y = anchor
-        else:
-            if i in reversed_at:
-                unsat = True
-            continue
-        rels.append((y, x) if i in reversed_at else (x, y))
-    return rels, unsat
+def _anchored_chain(
+    I: Iterable[int], pi: ColoredPermutation, reverse: bool
+) -> ColoredPoset:
+    """The chain pi(1) < ... < pi(n) < 0_1 with the relations at positions
+    of I reversed or dropped.  For r = 1 the anchor is a maximum and not an
+    element: its relation is dropped, and reversing it cannot be realized."""
+    I = frozenset(I)
+    if not I <= set(range(1, pi.n + 1)):
+        raise ValueError("I must be a subset of [n]")
+    above = pi.letters[1:] + ((ColoredLetter(1, 0),) if pi.r >= 2 else ())
+    rels = [
+        (y, x) if i in I else (x, y)
+        for i, (x, y) in enumerate(zip(pi.letters, above), start=1)
+        if reverse or i not in I
+    ]
+    poset = make_poset(pi.r, pi.n, pi.letters, rels)
+    if reverse and pi.r == 1 and pi.n in I:
+        return replace(poset, unsatisfiable=True)
+    return poset
 
 
 def zigzag_poset(I: Iterable[int], pi: ColoredPermutation) -> ColoredPoset:
     """Chain on pi's letters, reversed exactly at the positions of I."""
-    I = frozenset(I)
-    if not I <= set(range(1, pi.n + 1)):
-        raise ValueError("I must be a subset of [n]")
-    rels, unsat = _boundary_relations(pi, I)
-    poset = make_poset(pi.r, pi.n, pi.letters, rels)
-    return replace(poset, unsatisfiable=unsat) if unsat else poset
+    return _anchored_chain(I, pi, reverse=True)
 
 
 def chain_poset(I: Iterable[int], pi: ColoredPermutation) -> ColoredPoset:
     """Chain on pi's letters with the relations at positions of I dropped."""
-    I = frozenset(I)
-    if not I <= set(range(1, pi.n + 1)):
-        raise ValueError("I must be a subset of [n]")
-    anchor = ColoredLetter(1, 0)
-    rels = []
-    for i in range(1, pi.n + 1):
-        if i in I:
-            continue
-        x = pi.letters[i - 1]
-        if i < pi.n:
-            rels.append((x, pi.letters[i]))
-        elif pi.r >= 2:
-            rels.append((x, anchor))
-    return make_poset(pi.r, pi.n, pi.letters, rels)
+    return _anchored_chain(I, pi, reverse=False)
 
 
 def detached_chain_poset(pi: ColoredPermutation) -> ColoredPoset:

@@ -245,7 +245,7 @@ def _lemma_case(r: int, n: int, mode: str, max_group_size: int) -> dict:
         (frozenset(info.label), [_inverse_word(r, w) for w in info.members])
         for info in desset_partition(r, n, max_group_size).classes
     ]
-    checks = 0
+    checks = extensions = 0
     failures = []
     for pi in enumerate_group(r, n):
         quotients = [
@@ -256,9 +256,11 @@ def _lemma_case(r: int, n: int, mode: str, max_group_size: int) -> dict:
             for I in itertools.combinations(range(1, n + 1), size):
                 Iset = frozenset(I)
                 got = colored_linear_extensions(make(Iset, pi))
+                got_set = set(got)
                 want = set().union(*(ws for D, ws in quotients if matches(D, Iset)))
                 checks += 1
-                if len(got) != len(set(got)) or set(got) != want:
+                extensions += len(got)
+                if len(got) != len(got_set) or got_set != want:
                     failures.append(
                         {
                             "r": r,
@@ -269,14 +271,16 @@ def _lemma_case(r: int, n: int, mode: str, max_group_size: int) -> dict:
                             "expected": sorted(word_str(w) for w in want),
                         }
                     )
-    return {"checks": checks, "failures": failures}
+    return {"checks": checks, "failures": failures, "extensions": extensions}
 
 
 def _lemma_suite(mode: str, r, n, jobs, max_group_size) -> SuiteReport:
     combos = _groups(r, n, LEMMA_SWEEP)
     report = SuiteReport(mode, {"groups": combos})
     case_list = [(rr, nn, mode, max_group_size) for rr, nn in combos]
-    _run_cases(report, _lemma_case, case_list, jobs)
+    results = _run_cases(report, _lemma_case, case_list, jobs)
+    # colored extensions generated, in case order so --jobs cannot change it
+    report.details["extensions"] = sum(res["extensions"] for res in results)
     _check_worked_example(report, mode)
     return report
 

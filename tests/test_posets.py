@@ -4,9 +4,11 @@ from dataclasses import dataclass
 
 import pytest
 
+from colored_descents import posets
 from colored_descents.group import (
     ColoredLetter,
     ColoredPermutation,
+    SizeCapExceeded,
     Word,
     compose,
     descent_positions,
@@ -16,6 +18,7 @@ from colored_descents.group import (
     word_str,
 )
 from colored_descents.posets import (
+    _interleavings,
     _zero_letters,
     chain_poset,
     colored_linear_extensions,
@@ -25,7 +28,6 @@ from colored_descents.posets import (
     make_poset,
     poset_from_json,
     poset_to_json,
-    shuffles,
     standardize_word,
     zigzag_poset,
 )
@@ -60,7 +62,7 @@ def reference_linear_extensions(poset):
     if poset.unsatisfiable:
         return []
     elems = sorted(poset.elements)
-    pred = poset.predecessors
+    pred = {e: {a for a, b in poset.less if b == e} for e in elems}
     out = []
     placed = set()
     word = []
@@ -208,10 +210,16 @@ class TestDecompose:
 
 
 class TestAgainstReference:
-    @pytest.mark.parametrize("r", [1, 2, 3])
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
     def test_random_posets(self, r):
         for seed in range(40):
             assert_matches_reference(random_colored_poset(random.Random(seed), r=r))
+
+    def test_unsatisfiable_and_bare_zero_chains(self):
+        unsat = zigzag_poset({2}, parse_one_line("1_0 2_0", 1))
+        assert unsat.unsatisfiable
+        for poset in [unsat, make_poset(1, 0, [], []), make_poset(3, 0, [], [])]:
+            assert_matches_reference(poset)
 
     def test_every_zigzag_and_chain_poset_of_g33(self):
         for pi in enumerate_group(3, 3):
@@ -221,18 +229,71 @@ class TestAgainstReference:
                     assert_matches_reference(chain_poset(I, pi))
 
 
+def interleave(words):
+    """The shuffles of ``words`` through the cached interleaving table."""
+    flat = tuple(itertools.chain.from_iterable(words))
+    cuts = tuple(itertools.accumulate(map(len, words)))[:-1]
+    return [g(flat) for g in _interleavings(cuts, len(flat))]
+
+
+class TestExtensionCap:
+    """The caps trip exactly when the reference's counts exceed them, the
+    linear-extension cap first."""
+
+    @pytest.mark.parametrize(
+        "poset",
+        [
+            chain_poset({1, 3}, parse_one_line("2_1 3_0 1_2", 3)),
+            zigzag_poset({2}, parse_one_line("3_1 1_1 2_0", 3)),
+            random_colored_poset(random.Random(6), r=3),
+        ],
+    )
+    def test_cap_parity(self, poset, monkeypatch):
+        n_linear = len(reference_linear_extensions(poset))
+        n_colored = len(reference_colored_extensions(poset))
+        assert n_colored > n_linear > 1
+        for cap in (n_linear - 1, n_linear, n_colored - 1, n_colored):
+            monkeypatch.setattr(posets, "DEFAULT_MAX_EXTENSIONS", cap)
+            linear = f"more than {cap} linear extensions"
+            colored = linear if n_linear > cap else f"more than {cap} colored extensions"
+            if n_linear > cap:
+                with pytest.raises(SizeCapExceeded) as exc:
+                    linear_extensions(poset)
+                assert str(exc.value) == linear
+            else:
+                assert len(linear_extensions(poset)) == n_linear
+            if n_colored > cap:
+                with pytest.raises(SizeCapExceeded) as exc:
+                    colored_linear_extensions(poset)
+                assert str(exc.value) == colored
+            else:
+                assert len(colored_linear_extensions(poset)) == n_colored
+
+    def test_one_interleaving_table_over_the_cap(self, monkeypatch):
+        # four one-letter blocks: 4! shuffles of a single linear extension
+        monkeypatch.setattr(posets, "DEFAULT_MAX_EXTENSIONS", 23)
+        with pytest.raises(SizeCapExceeded, match="^more than 23 colored extensions$"):
+            _interleavings.__wrapped__((1, 2, 3), 4)
+        monkeypatch.setattr(posets, "DEFAULT_MAX_EXTENSIONS", 24)
+        assert len(_interleavings.__wrapped__((1, 2, 3), 4)) == 24
+
+
 class TestShuffles:
     def test_counts_are_multinomial(self):
         a = (L(0, 1), L(0, 2))
         b = (L(1, 3),)
-        assert len(list(shuffles([a, b]))) == 3
-        assert len(list(shuffles([a, b, (L(2, 4),)]))) == 12
+        for words, count in [([a, b], 3), ([a, b, (L(2, 4),)], 12), ([(), a, (), b], 3)]:
+            got = interleave(words)
+            assert len(got) == count
+            assert got == list(reference_shuffles(words))
 
     def test_single_word(self):
-        assert list(shuffles([(L(0, 1),)])) == [(L(0, 1),)]
+        assert interleave([(L(0, 1),)]) == [(L(0, 1),)]
+        assert interleave([(L(0, 1), L(1, 2)), ()]) == [(L(0, 1), L(1, 2))]
 
     def test_empty(self):
-        assert list(shuffles([])) == [()]
+        assert interleave([]) == list(reference_shuffles([])) == [()]
+        assert interleave([(), ()]) == [()]
 
 
 class TestColoredExtensions:

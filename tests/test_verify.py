@@ -75,6 +75,14 @@ def test_idempotents_catch_a_perturbed_table(monkeypatch, entry, records):
     assert report.failures == records
 
 
+@pytest.mark.parametrize("mode, extensions", [("zigzag", 64), ("chain", 136)])
+def test_lemma_reports_count_extensions(mode, extensions):
+    # G(2, 2) has 8 elements and descent-set sizes 0, 1, 2 for 1, 6, 1 of
+    # them.  Each pi's zigzag posets split G by descent set: 8 * 8 words.  A
+    # chain poset on I takes every sigma with Des <= I: 8 * (4 + 2*6 + 1).
+    assert run_suite(mode, r=2, n=2).details["extensions"] == extensions
+
+
 def test_jobs_are_capped_by_cases_and_cpus(monkeypatch):
     started = []
 

@@ -16,7 +16,6 @@ from .group import (
     SizeCapExceeded,
     compose,
     descent_profile,
-    descent_set_variant,
     enumerate_group,
     group_order,
     group_words,

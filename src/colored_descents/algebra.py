@@ -234,10 +234,6 @@ class ClassInfo:
     def size(self) -> int:
         return len(self.members)
 
-    @property
-    def representative(self) -> Word:
-        return self.members[0]
-
 
 @dataclass(frozen=True)
 class ClassPartition:
@@ -253,9 +249,6 @@ class ClassPartition:
     kind: str
     classes: tuple[ClassInfo, ...]
     order: tuple[Word, ...] = field(compare=False)
-
-    def class_sums(self) -> list[GroupAlgebraElement]:
-        return [_class_element(self, {info.label: 1}) for info in self.classes]
 
 
 def _class_element(partition: ClassPartition, coords: Mapping) -> GroupAlgebraElement:
@@ -317,7 +310,9 @@ def class_sums_mr(
 ) -> tuple[ClassPartition, list[GroupAlgebraElement]]:
     """One class sum per realized run composition, in label order."""
     partition = mr_partition(r, n, max_size)
-    return partition, partition.class_sums()
+    return partition, [
+        _class_element(partition, {info.label: 1}) for info in partition.classes
+    ]
 
 
 def desset_partition(
@@ -508,10 +503,6 @@ def _span_scan(classes: Sequence[Sequence]):
     return scan
 
 
-class VerificationFailedClosure(RuntimeError):
-    """Structure constants requested for a partition that is not closed."""
-
-
 def structure_constants(
     partition: ClassPartition, closure: Optional[ClosureReport] = None
 ) -> list[list[list[int]]]:
@@ -530,7 +521,7 @@ def structure_constants(
     ):
         raise ValueError("closure report does not match the partition")
     if not closure.passed:
-        raise VerificationFailedClosure(
+        raise ValueError(
             f"closure not established for {partition.kind} on "
             f"G({partition.r},{partition.n})"
         )

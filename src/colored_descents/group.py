@@ -38,8 +38,9 @@ class ColoredLetter(NamedTuple):
         return f"{self.value}_{self.color}"
 
 
-# A word is a plain tuple of letters.  Hot loops use raw (color, value)
-# tuples, which hash and compare equal to ColoredLetter instances.
+# A word is a tuple of (color, value) letters.  group_words, GroupTable.word
+# and the compose/inverse helpers yield plain tuples; ColoredPermutation and
+# the posets hold ColoredLetter.  The two forms hash and compare equal.
 Word = tuple[ColoredLetter, ...]
 
 
@@ -160,7 +161,7 @@ def group_words(
     """
     _check_order(r, n, max_size)
     return (
-        tuple(map(ColoredLetter, colors, values))
+        tuple(zip(colors, values))
         for values in itertools.permutations(range(1, n + 1))
         for colors in itertools.product(range(r), repeat=n)
     )
@@ -213,7 +214,7 @@ class GroupTable:
     def word(self, rank: int) -> Word:
         """The word of the given rank; inverse of ``rank``."""
         p, c = divmod(rank, len(self._colors))
-        return tuple(map(ColoredLetter, self._colors[c], self._perms[p]))
+        return tuple(zip(self._colors[c], self._perms[p]))
 
     def left_row(self, s: int) -> list[int]:
         """``[rank(s*t) for t in range(len(self))]``."""
@@ -314,25 +315,10 @@ class DescentProfile:
     def intdes(self) -> int:
         return len(self.internal_descent_set)
 
-    @classmethod
-    def of_word(cls, word: Word) -> "DescentProfile":
-        full = descent_positions(word)
-        return cls(full, full - {len(word)})
-
 
 def descent_profile(pi: ColoredPermutation) -> DescentProfile:
-    return DescentProfile.of_word(pi.letters)
-
-
-def descent_set_variant(pi: ColoredPermutation, a: int, b: int) -> frozenset[int]:
-    """Descent positions in [0, n] with boundary letters 0_a and 0_b.
-
-    With (a, b) = (0, 1) the result restricted to [n] is the ordinary
-    descent set and 0 never occurs.
-    """
-    if not 0 <= a < pi.r or not 0 <= b < pi.r:
-        raise ValueError(f"boundary colors must lie in [0, {pi.r - 1}]")
-    return descent_positions(pi.letters, a, b)
+    full = descent_positions(pi.letters)
+    return DescentProfile(full, full - {pi.n})
 
 
 @dataclass(frozen=True)
@@ -379,17 +365,3 @@ def permutation_to_json(pi: ColoredPermutation) -> dict:
         "n": pi.n,
         "letters": [[x.value, x.color] for x in pi.letters],
     }
-
-
-def permutation_from_json(data: dict) -> ColoredPermutation:
-    try:
-        letters = tuple(
-            ColoredLetter(color, value) for value, color in data["letters"]
-        )
-        r = int(data["r"])
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed permutation record: {exc}") from exc
-    pi = ColoredPermutation(r, letters)
-    if "n" in data and int(data["n"]) != pi.n:
-        raise ValueError(f"declared n={data['n']} but {pi.n} letters given")
-    return pi

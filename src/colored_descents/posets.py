@@ -8,9 +8,8 @@ zero chain.  Splitting such a word at the zero letters and lowering the
 colors of the i-th block by i produces colored words whose shuffles are
 the colored linear extensions.
 
-Nonzero letters are allowed to use any distinct positive values, not just
-1..n; words produced here become group elements after order-preserving
-value relabeling (see standardize_word).
+Nonzero letters may use any distinct values in 1..n, not necessarily all
+of them.
 """
 from __future__ import annotations
 
@@ -212,14 +211,6 @@ def colored_linear_extensions(poset: ColoredPoset) -> list[Word]:
     return [g(prefix) for (_, prefix, _), table in zip(states, tables) for g in table]
 
 
-def standardize_word(r: int, word: Word) -> ColoredPermutation:
-    """Relabel values order-preservingly to 1..len(word)."""
-    ranks = {v: i for i, v in enumerate(sorted(x[1] for x in word), start=1)}
-    return ColoredPermutation(
-        r, tuple(ColoredLetter(c, ranks[v]) for c, v in word)
-    )
-
-
 def _anchored_chain(
     I: Iterable[int], pi: ColoredPermutation, reverse: bool
 ) -> ColoredPoset:
@@ -282,16 +273,3 @@ def poset_to_json(poset: ColoredPoset) -> dict:
             [[a.value, a.color], [b.value, b.color]] for a, b in poset.covers()
         ],
     }
-
-
-def poset_from_json(data: dict) -> ColoredPoset:
-    try:
-        elements = [ColoredLetter(c, v) for v, c in data["elements"]]
-        covers = [
-            (ColoredLetter(ac, av), ColoredLetter(bc, bv))
-            for (av, ac), (bv, bc) in data["covers"]
-        ]
-        r, n = int(data["r"]), int(data["n"])
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed poset record: {exc}") from exc
-    return make_poset(r, n, elements, covers)

@@ -60,14 +60,6 @@ class TruncatedSeries:
 
     coefficients: tuple[int, ...]
 
-    def __getitem__(self, d: int) -> int:
-        return self.coefficients[d] if d < len(self.coefficients) else 0
-
-    def __str__(self) -> str:
-        return " + ".join(
-            f"{c}*t^{d}" for d, c in enumerate(self.coefficients) if c
-        ) or "0"
-
 
 def _shift_gt(a: ColoredLetter, b: ColoredLetter, k: int, r: int) -> bool:
     """Whether a exceeds b after lowering both colors by k."""
@@ -264,7 +256,7 @@ def barred_zigzag_count(
 
 
 def _weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 0:
+    if parts == 0 or total < 0:
         if total == 0:
             yield ()
         return
@@ -292,24 +284,19 @@ def barred_chain_total(pi: ColoredPermutation, j: int, k: int) -> int:
     n, r = pi.n, pi.r
     letters = pi.letters
     total = 0
-    for size in range(min(n, k) + 1):
-        for I in itertools.combinations(range(1, n + 1), size):
-            spaces = (0,) + I
-            for extra in _weak_compositions(k - size, len(spaces)):
-                bars = [0] * (n + 1)
-                bars[0] = extra[0]
-                for i, e in zip(I, extra[1:]):
-                    bars[i] = 1 + e
-                comps: list[list[ColoredLetter]] = [[]]
-                for i in range(1, n + 1):
-                    comps.extend([] for _ in range(bars[i - 1]))
-                    comps[-1].append(letters[i - 1])
-                comps.extend([] for _ in range(bars[n]))
-                product = omega_word(tuple(comps[-1]), j)
-                for comp in comps[:-1]:
-                    m = len(comp)
-                    product *= binom(r * j + m - word_intdes(tuple(comp)), m)
-                total += product
+    # bars[i] bars stand after the first i letters; I is the set of i >= 1
+    # with bars[i] > 0, so each (I, placement) pair is one weak composition
+    for bars in _weak_compositions(k, n + 1):
+        comps: list[list[ColoredLetter]] = [[]]
+        for i in range(1, n + 1):
+            comps.extend([] for _ in range(bars[i - 1]))
+            comps[-1].append(letters[i - 1])
+        comps.extend([] for _ in range(bars[n]))
+        product = omega_word(tuple(comps[-1]), j)
+        for comp in comps[:-1]:
+            m = len(comp)
+            product *= binom(r * j + m - word_intdes(tuple(comp)), m)
+        total += product
     return total
 
 

@@ -33,6 +33,7 @@ from .group import (
     _check_order,
     _compose_words,
     _inverse_word,
+    descent_positions,
     enumerate_group,
     group_order,
     group_words,
@@ -241,16 +242,15 @@ def _lemma_case(r: int, n: int, mode: str, max_group_size: int) -> dict:
     matches = frozenset.__eq__ if mode == "zigzag" else frozenset.__le__
     make = zigzag_poset if mode == "zigzag" else chain_poset
     # sigma^-1 pi lies in the class of descent set D iff sigma = pi tau^-1, tau in D
-    classes = [
-        (frozenset(info.label), [_inverse_word(r, w) for w in info.members])
-        for info in desset_partition(r, n, max_group_size).classes
-    ]
+    classes: dict[frozenset, list] = {}
+    for w in group_words(r, n, max_group_size):
+        classes.setdefault(descent_positions(w), []).append(_inverse_word(r, w))
     checks = extensions = 0
     failures = []
     for pi in enumerate_group(r, n):
         quotients = [
             (D, {_compose_words(r, pi.letters, t) for t in inverses})
-            for D, inverses in classes
+            for D, inverses in classes.items()
         ]
         for size in range(n + 1):
             for I in itertools.combinations(range(1, n + 1), size):

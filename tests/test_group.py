@@ -10,7 +10,6 @@ from colored_descents.group import (
     compose,
     descent_positions,
     descent_profile,
-    descent_set_variant,
     enumerate_group,
     group_order,
     group_words,
@@ -18,7 +17,6 @@ from colored_descents.group import (
     inverse,
     mr_key,
     parse_one_line,
-    permutation_from_json,
     permutation_to_json,
     word_intdes,
     word_str,
@@ -179,22 +177,18 @@ class TestDescentRule:
 class TestDescentVariants:
     def test_standard_boundary(self):
         pi = perm("2_1 1_1", 2)
-        assert descent_set_variant(pi, 0, 1) == frozenset({1, 2})
+        assert descent_positions(pi.letters, 0, 1) == frozenset({1, 2})
 
     def test_low_boundary_forces_final_descent(self):
         # the final letter always exceeds the all-zero boundary letter
-        assert descent_set_variant(perm("1_0 2_0", 2), 1, 0) == frozenset({0, 2})
+        assert descent_positions(perm("1_0 2_0", 2).letters, 1, 0) == frozenset({0, 2})
 
     def test_identity_standard(self):
-        assert descent_set_variant(identity(2, 2), 0, 1) == frozenset()
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            descent_set_variant(identity(2, 2), 2, 0)
+        assert descent_positions(identity(2, 2).letters, 0, 1) == frozenset()
 
     def test_agrees_with_profile(self):
         for pi in enumerate_group(2, 3):
-            variant = descent_set_variant(pi, 0, 1)
+            variant = descent_positions(pi.letters, 0, 1)
             assert 0 not in variant
             assert variant & set(range(1, 4)) == descent_profile(pi).descent_set
 
@@ -300,7 +294,10 @@ def test_inverse_law(pi):
 @settings(max_examples=60, deadline=None)
 def test_text_and_json_round_trip(pi):
     assert parse_one_line(str(pi), pi.r) == pi
-    assert permutation_from_json(permutation_to_json(pi)) == pi
+    data = permutation_to_json(pi)
+    letters = tuple(ColoredLetter(c, v) for v, c in data["letters"])
+    assert (data["r"], data["n"]) == (pi.r, pi.n)
+    assert ColoredPermutation(data["r"], letters) == pi
 
 
 @given(small_group_element(r_max=4))
@@ -331,13 +328,3 @@ class TestValidation:
     def test_color_out_of_range(self):
         with pytest.raises(ValueError):
             parse_one_line("1_2 2_0", 2)
-
-    def test_json_missing_keys(self):
-        with pytest.raises(ValueError, match="malformed"):
-            permutation_from_json({"r": 2})
-
-    def test_json_declared_n_must_match(self):
-        data = permutation_to_json(identity(2, 2))
-        data["n"] = 3
-        with pytest.raises(ValueError):
-            permutation_from_json(data)

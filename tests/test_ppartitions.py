@@ -415,12 +415,14 @@ class TestBarredChain:
         assert barred_chain_total(pi, 1, 2) == binom(12, 2) == 66
 
     def test_matches_closed_form_on_grid(self):
-        for pi in enumerate_group(2, 2):
-            for j in range(3):
-                for k in range(3):
+        # k runs past n, where not every bar count fits one bar per space
+        groups = [(2, 2), (1, 3), (2, 3), (3, 3)]
+        for pi in itertools.chain.from_iterable(enumerate_group(*g) for g in groups):
+            r, n, d = pi.r, pi.n, word_des(pi.letters)
+            for j in range(4):
+                for k in range(n + 3):
                     total = barred_chain_total(pi, j, k)
-                    d = word_des(pi.letters)
-                    assert total == binom(2 * j * k + j + k + 2 - d, 2)
+                    assert total == binom(r * j * k + j + k + n - d, n)
 
 
 class TestRandomCorpus:

@@ -35,7 +35,6 @@ from .posets import (
     zigzag_poset,
 )
 from .ppartitions import (
-    TruncatedSeries,
     barred_chain_total,
     barred_zigzag_count,
     binom,

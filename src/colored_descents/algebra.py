@@ -13,6 +13,7 @@ falling factorials divided by n!, the unique polynomial extension.
 """
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -222,42 +223,44 @@ def _convolve(
 
 @dataclass(frozen=True)
 class ClassInfo:
-    """One class: its members as words and as ``GroupTable`` ranks, both in
-    ascending rank order."""
+    """One class: its members as ``GroupTable`` ranks, ascending."""
 
-    index: int
     label: object
-    members: tuple[Word, ...]
     ranks: tuple[int, ...]
 
     @property
     def size(self) -> int:
-        return len(self.members)
+        return len(self.ranks)
 
 
 @dataclass(frozen=True)
 class ClassPartition:
     """A set partition of the group with stable class indexing.
 
-    Blocks are nonempty and sorted by label; ``order`` lists the whole
-    group in canonical enumeration order, which is ``GroupTable`` rank
-    order, so ``order[p]`` is the word of rank p.
+    Blocks are nonempty and sorted by label.
     """
 
     r: int
     n: int
     kind: str
     classes: tuple[ClassInfo, ...]
-    order: tuple[Word, ...] = field(compare=False)
+
+    @functools.cached_property
+    def order(self) -> tuple[Word, ...]:
+        """The whole group in canonical enumeration order, which is
+        ``GroupTable`` rank order, so ``order[p]`` is the word of rank p.
+        Made once, on first use; the partition already passed its cap."""
+        return tuple(group_words(self.r, self.n, group_order(self.r, self.n)))
 
 
 def _class_element(partition: ClassPartition, coords: Mapping) -> GroupAlgebraElement:
     """Every member of a class weighted by ``coords[label]``; a label missing
     from coords weights its class by 0."""
+    order = partition.order
     return GroupAlgebraElement(partition.r, partition.n, {
-        w: coords[info.label]
+        order[p]: coords[info.label]
         for info in partition.classes if info.label in coords
-        for w in info.members
+        for p in info.ranks
     })
 
 
@@ -270,15 +273,13 @@ def partition_by(
 ) -> ClassPartition:
     """Classes of the words of G(r, n) with equal ``label_fn(word)``, read
     off one walk of the group in rank order and sorted by label."""
-    order = tuple(group_words(r, n, max_size))
     by_label: dict[object, list[int]] = {}
-    for rank, w in enumerate(order):
+    for rank, w in enumerate(group_words(r, n, max_size)):
         by_label.setdefault(label_fn(w), []).append(rank)
     classes = tuple(
-        ClassInfo(i, label, tuple(map(order.__getitem__, ranks)), tuple(ranks))
-        for i, (label, ranks) in enumerate(sorted(by_label.items()))
+        ClassInfo(label, tuple(ranks)) for label, ranks in sorted(by_label.items())
     )
-    return ClassPartition(r, n, kind, classes, order)
+    return ClassPartition(r, n, kind, classes)
 
 
 def des_partition(
@@ -355,7 +356,8 @@ def is_in_span(a: GroupAlgebraElement, partition: ClassPartition) -> SpanCheck:
     """
     if (a.r, a.n) != (partition.r, partition.n):
         raise ValueError("element and partition live on different groups")
-    scan = _span_scan([info.members for info in partition.classes])
+    order = partition.order
+    scan = _span_scan([[order[p] for p in info.ranks] for info in partition.classes])
     vector, witness = scan(a.coeffs)
     return SpanCheck(None if vector is None else tuple(vector), witness)
 
@@ -461,7 +463,7 @@ def verify_closure(partition: ClassPartition) -> ClosureReport:
         corner.update(row)
     for k, column in zip(others, columns):
         check(big, k, column, len(classes[k]), -1)
-    check(big, big, corner, 2 * len(classes[big]) - len(partition.order))
+    check(big, big, corner, 2 * len(classes[big]) - len(table))
     failures.sort(key=lambda f: (f.left, f.right))
     return ClosureReport(
         partition.kind,

@@ -371,21 +371,21 @@ def cmd_idempotents(args: argparse.Namespace) -> int:
 def cmd_eulerian_poly(args: argparse.Namespace) -> int:
     r = args.r if args.r is not None else 2
     n = args.n if args.n is not None else 2
-    series = eulerian_polynomial(r, n, args.max_group_size)
+    coeffs = eulerian_polynomial(r, n, args.max_group_size)
     record = {
         "op": "eulerian-poly",
         "params": {"r": r, "n": n},
-        "t_coeffs": [str(c) for c in series.coefficients],
+        "t_coeffs": [str(c) for c in coeffs],
     }
     if args.format == "json":
         schemas.validate(record, "series_record")
         _emit([_dump_json(record)], args.output)
     elif args.format == "csv":
         lines = [_csv_line(["power", "coefficient"])]
-        lines.extend(_csv_line([d, c]) for d, c in enumerate(series.coefficients))
+        lines.extend(_csv_line([d, c]) for d, c in enumerate(coeffs))
         _emit(lines, args.output)
     else:
-        _emit([f"[{', '.join(str(c) for c in series.coefficients)}]\n"], args.output)
+        _emit([f"[{', '.join(str(c) for c in coeffs)}]\n"], args.output)
     return EXIT_OK
 
 

@@ -22,7 +22,6 @@ import math
 import random
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 from .group import (
@@ -52,13 +51,6 @@ DEFAULT_MAX_MAPS = 10_000_000
 def binom(m: int, k: int) -> int:
     """Binomial coefficient, zero whenever m < k (multichoose convention)."""
     return math.comb(m, k) if m >= k else 0
-
-
-@dataclass(frozen=True)
-class TruncatedSeries:
-    """Coefficients of a polynomial or truncated series in t."""
-
-    coefficients: tuple[int, ...]
 
 
 def _shift_gt(a: ColoredLetter, b: ColoredLetter, k: int, r: int) -> bool:
@@ -213,14 +205,14 @@ def descent_class_sizes(r: int, n: int) -> list[int]:
 
 def eulerian_polynomial(
     r: int, n: int, max_size: int = DEFAULT_MAX_GROUP_SIZE
-) -> TruncatedSeries:
+) -> tuple[int, ...]:
     """Descent-number generating polynomial, trailing zeros trimmed.  The
     coefficients are the closed class sizes; the group cap still applies."""
     _check_order(r, n, max_size)
     counts = descent_class_sizes(r, n)
     while len(counts) > 1 and counts[-1] == 0:
         counts.pop()
-    return TruncatedSeries(tuple(counts))
+    return tuple(counts)
 
 
 def verify_steingrimsson(

@@ -435,8 +435,7 @@ def suite_closure_des(
             report.failures.append(record)
             report.checks += 1
             continue
-        sizes = [info.size for info in partition.classes]
-        mass_ok = tensor_mass_check(rep.tensor, sizes)
+        mass_ok = tensor_mass_check(rep.tensor, record["class_sizes"])
         record["mass_check"] = mass_ok
         report.checks += 2
         if not mass_ok:
@@ -454,8 +453,9 @@ def suite_closure_mr(
         partition = mr_partition(rr, nn, max_group_size)
         record, rep = _closure_record(partition)
         # descent number must be constant on every run-composition class
+        order = partition.order
         des_constant = all(
-            len({word_des(w) for w in info.members}) == 1
+            len({word_des(order[p]) for p in info.ranks}) == 1
             for info in partition.classes
         )
         record["des_measurable"] = des_constant
@@ -554,12 +554,12 @@ def suite_variants(
     rr, nn = r or 2, n if n is not None else 2
     report = SuiteReport("variants", {"r": rr, "n": nn})
     standard = des_partition(rr, nn, max_group_size)
-    standard_blocks = {frozenset(info.members) for info in standard.classes}
+    standard_blocks = {frozenset(info.ranks) for info in standard.classes}
     results = []
     for a in range(rr):
         for b in range(rr):
             partition = variant_partition(rr, nn, a, b, max_group_size)
-            blocks = {frozenset(info.members) for info in partition.classes}
+            blocks = {frozenset(info.ranks) for info in partition.classes}
             same = blocks == standard_blocks
             closed = verify_closure(partition).passed
             results.append(

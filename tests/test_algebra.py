@@ -11,7 +11,9 @@ from colored_descents.group import (
     GroupTable,
     SizeCapExceeded,
     _compose_words,
+    _run_parts,
     compose,
+    descent_positions,
     enumerate_group,
     group_order,
     identity,
@@ -225,7 +227,7 @@ class TestMrClassSums:
         for r, n in [(2, 2), (3, 2)]:
             mr = mr_partition(r, n)
             for info in mr.classes:
-                assert len({word_des(w) for w in info.members}) == 1
+                assert len({word_des(mr.order[p]) for p in info.ranks}) == 1
 
 
 class TestSpan:
@@ -261,16 +263,24 @@ class TestPartitionRanks:
     @pytest.mark.parametrize("r, n", [(1, 3), (2, 0), (2, 3), (3, 2)])
     def test_classes_tile_the_group_in_rank_order(self, r, n):
         order = tuple(pi.letters for pi in enumerate_group(r, n))
-        partitions = [des_partition(r, n), mr_partition(r, n), desset_partition(r, n)]
-        partitions += [
-            variant_partition(r, n, a, b) for a in range(r) for b in range(r)
+        partitions = [
+            (des_partition(r, n), word_des),
+            (mr_partition(r, n), _run_parts),
+            (desset_partition(r, n), lambda w: tuple(sorted(descent_positions(w)))),
         ]
-        for partition in partitions:
+        partitions += [
+            (variant_partition(r, n, a, b),
+             lambda w, a=a, b=b: len(descent_positions(w, a, b)))
+            for a in range(r) for b in range(r)
+        ]
+        for partition, label in partitions:
             assert partition.order == order
             ranks = []
             for info in partition.classes:
-                assert list(info.ranks) == sorted(info.ranks)
-                assert info.members == tuple(order[p] for p in info.ranks)
+                # the words of the class's ranks are the whole class, ascending
+                assert info.ranks == tuple(
+                    p for p, w in enumerate(order) if label(w) == info.label
+                )
                 ranks.extend(info.ranks)
             assert sorted(ranks) == list(range(len(order)))
 
@@ -288,19 +298,20 @@ def reference_closure_failures(partition):
     """The failures of the closure check, from every pair's product counted
     by composing words over the whole of |G|^2, scanned class by class."""
     failures = []
-    for j, left in enumerate(partition.classes):
-        for k, right in enumerate(partition.classes):
+    classes = [
+        [partition.order[p] for p in info.ranks] for info in partition.classes
+    ]
+    for j, left in enumerate(classes):
+        for k, right in enumerate(classes):
             counts = Counter(
-                _compose_words(partition.r, s, t)
-                for s in left.members
-                for t in right.members
+                _compose_words(partition.r, s, t) for s in left for t in right
             )
-            for info in partition.classes:
-                ref = counts[info.members[0]]
-                other = next((w for w in info.members if counts[w] != ref), None)
+            for members in classes:
+                ref = counts[members[0]]
+                other = next((w for w in members if counts[w] != ref), None)
                 if other is not None:
                     failures.append(ClosureFailure(
-                        j, k, (info.members[0], other, ref, counts[other])
+                        j, k, (members[0], other, ref, counts[other])
                     ))
                     break
     return tuple(failures)
@@ -354,14 +365,17 @@ class TestClosure:
 def factorisation_count_tensor(partition):
     """m[j][k][i] = #{s : class(s) = j, class(s^-1 rep_i) = k}, by enumeration."""
     r, n = partition.r, partition.n
-    label = {w: info.index for info in partition.classes for w in info.members}
-    K = len(partition.classes)
+    classes = [
+        [partition.order[p] for p in info.ranks] for info in partition.classes
+    ]
+    label = {w: i for i, members in enumerate(classes) for w in members}
+    K = len(classes)
     tensor = [[[0] * K for _ in range(K)] for _ in range(K)]
     group = [(s.letters, inverse(s).letters) for s in enumerate_group(r, n)]
-    for info in partition.classes:
+    for i, members in enumerate(classes):
         for s, s_inverse in group:
-            t = _compose_words(r, s_inverse, info.members[0])
-            tensor[label[s]][label[t]][info.index] += 1
+            t = _compose_words(r, s_inverse, members[0])
+            tensor[label[s]][label[t]][i] += 1
     return tensor
 
 
@@ -525,19 +539,19 @@ class TestVariantPartitions:
     def test_standard_pair_matches_des_partition(self):
         standard = des_partition(2, 2)
         variant = variant_partition(2, 2, 0, 1)
-        assert {frozenset(i.members) for i in standard.classes} == {
-            frozenset(i.members) for i in variant.classes
+        assert {frozenset(i.ranks) for i in standard.classes} == {
+            frozenset(i.ranks) for i in variant.classes
         }
 
     def test_scan_two_colors(self):
         standard_blocks = {
-            frozenset(i.members) for i in des_partition(2, 2).classes
+            frozenset(i.ranks) for i in des_partition(2, 2).classes
         }
         for a in range(2):
             for b in range(2):
                 partition = variant_partition(2, 2, a, b)
                 same = {
-                    frozenset(i.members) for i in partition.classes
+                    frozenset(i.ranks) for i in partition.classes
                 } == standard_blocks
                 closed = verify_closure(partition).passed
                 assert closed == same

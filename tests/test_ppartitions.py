@@ -281,26 +281,26 @@ class TestOmegaDetachedChain:
 
 class TestEulerianPolynomial:
     def test_one_color(self):
-        assert eulerian_polynomial(1, 3).coefficients == (1, 4, 1)
+        assert eulerian_polynomial(1, 3) == (1, 4, 1)
 
     def test_two_colors(self):
-        assert eulerian_polynomial(2, 2).coefficients == (1, 6, 1)
+        assert eulerian_polynomial(2, 2) == (1, 6, 1)
 
     def test_empty_word(self):
-        assert eulerian_polynomial(7, 0).coefficients == (1,)
+        assert eulerian_polynomial(7, 0) == (1,)
 
     def test_counts_sum_to_group_order(self):
-        assert sum(eulerian_polynomial(3, 3).coefficients) == 27 * 6
+        assert sum(eulerian_polynomial(3, 3)) == 27 * 6
 
     def test_reads_closed_sizes_without_a_group_walk(self, monkeypatch):
         def fail(*args, **kwargs):
             raise AssertionError("the group was walked")
 
         monkeypatch.setattr(ppartitions, "group_words", fail)
-        assert eulerian_polynomial(2, 6).coefficients == (
+        assert eulerian_polynomial(2, 6) == (
             1, 722, 10543, 23548, 10543, 722, 1,
         )
-        assert eulerian_polynomial(1, 4).coefficients == (1, 11, 11, 1)
+        assert eulerian_polynomial(1, 4) == (1, 11, 11, 1)
 
     def test_group_cap_still_holds(self):
         with pytest.raises(SizeCapExceeded, match="group of order 46080 exceeds cap 100"):
@@ -337,7 +337,7 @@ class TestClosedClassSizes:
 class TestSteingrimsson:
     def test_spot_values(self):
         # (2j+1)^2 = 1, 9, 25 against the histogram 1 + 6t + t^2
-        coeffs = eulerian_polynomial(2, 2).coefficients
+        coeffs = eulerian_polynomial(2, 2)
         for j in range(3):
             assert (2 * j + 1) ** 2 == sum(
                 coeffs[d] * binom(j + 2 - d, 2) for d in range(len(coeffs))

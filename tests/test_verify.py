@@ -6,7 +6,14 @@ import pytest
 
 import colored_descents.algebra
 from colored_descents import verify
-from colored_descents.verify import run_suite
+from colored_descents.algebra import (
+    ClassPartition,
+    des_partition,
+    partition_by,
+    verify_closure,
+)
+from colored_descents.group import GroupTable
+from colored_descents.verify import run_suite, suite_closure_mr
 
 
 def test_idempotents_build_one_partition_per_group(monkeypatch):
@@ -21,6 +28,36 @@ def test_idempotents_build_one_partition_per_group(monkeypatch):
     report = run_suite("idempotents", r=3, n=3)
     assert report.passed and report.checks == 18
     assert calls == [(3, 3)]
+
+
+def test_closed_partition_checks_make_no_word(monkeypatch):
+    # a closed partition's checks read ranks only; words are made where one
+    # leaves the program, as a witness or an algebra element
+    partition = des_partition(3, 3)
+    assert verify_closure(partition).passed
+    assert "order" not in vars(partition)
+
+    def fail(*args):
+        raise AssertionError("a word was made")
+
+    monkeypatch.setattr(GroupTable, "word", fail)
+    monkeypatch.setattr(ClassPartition, "order", property(fail))
+    assert verify_closure(des_partition(3, 3)).passed
+    assert run_suite("closure-des", r=3, n=3).passed
+    assert run_suite("idempotents", r=3, n=3).passed
+
+
+def test_closure_mr_fails_when_descents_are_not_measurable(monkeypatch):
+    # one class holding the whole group is closed (S S = |G| S), but it
+    # mixes descent numbers 0, 1 and 2
+    def one_class(r, n, max_size):
+        return partition_by(r, n, "mr", lambda w: 0, max_size)
+
+    monkeypatch.setattr(verify, "mr_partition", one_class)
+    report = suite_closure_mr(r=2, n=2)
+    [record] = report.details["groups"]
+    assert record["passed"] and record["des_measurable"] is False
+    assert report.failures == [record] and not report.passed
 
 
 def _ortho(i, j, *product):

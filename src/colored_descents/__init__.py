@@ -58,5 +58,4 @@ from .algebra import (
     structure_constants,
     structure_poly_eval,
     verify_closure,
-    verify_phi_identity,
 )

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
 from operator import eq, itemgetter
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from .group import (
     DEFAULT_MAX_GROUP_SIZE,
@@ -567,28 +567,6 @@ def _phi_class_coefficients(n: int, x: Scalar) -> dict[int, Scalar]:
     if isinstance(x, int) and x >= 0:
         return {d: math.comb(x + n - d, n) for d in range(n + 1)}
     return {d: rational_binom(Fraction(x) + n - d, n) for d in range(n + 1)}
-
-
-def verify_phi_identity(
-    r: int,
-    n: int,
-    pairs: Iterable[tuple[Scalar, Scalar]],
-    max_size: int = DEFAULT_MAX_GROUP_SIZE,
-) -> bool:
-    """Whether phi(x) phi(y) = phi(r x y + x + y) for every supplied pair."""
-    partition = des_partition(r, n, max_size)
-
-    def phi(x: Scalar) -> GroupAlgebraElement:
-        return _class_element(partition, _phi_class_coefficients(n, x))
-
-    for x, y in pairs:
-        left = algebra_multiply(phi(x), phi(y))
-        z = r * Fraction(x) * Fraction(y) + Fraction(x) + Fraction(y)
-        if z.denominator == 1:
-            z = int(z)
-        if left != phi(z):
-            return False
-    return True
 
 
 def idempotent_class_table(r: int, n: int) -> list[list[Fraction]]:

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from .algebra import (
     ClassPartition,
+    _phi_class_coefficients,
     closure_products,
     collapsed_product,
     des_partition,
@@ -25,7 +26,6 @@ from .algebra import (
     tensor_mass_check,
     variant_partition,
     verify_closure,
-    verify_phi_identity,
 )
 from .group import (
     DEFAULT_MAX_GROUP_SIZE,
@@ -490,9 +490,23 @@ def suite_phi(
     pairs = [(x, y) for x in range(j_max + 1) for y in range(j_max + 1)]
     report = SuiteReport("phi", {"groups": combos, "pairs": pairs})
     for rr, nn in combos:
+        partition = _closable_des_partition(rr, nn, max_group_size)
+        closure = verify_closure(partition)
+        if not closure.passed:
+            report.failures.append({"r": rr, "n": nn, "closure": False})
+            continue
+
+        # phi(x) in class coordinates: C(x + n - d, n) on each realized class C_d
+        def phi(x: int) -> tuple:
+            by_des = _phi_class_coefficients(nn, x)
+            return tuple(by_des[info.label] for info in partition.classes)
+
         report.checks += len(pairs)
-        if not verify_phi_identity(rr, nn, pairs, max_group_size):
-            report.failures.append({"r": rr, "n": nn})
+        for x, y in pairs:
+            if collapsed_product(phi(x), phi(y), closure.tensor) != phi(rr * x * y + x + y):
+                # the first failing pair is the group's witness
+                report.failures.append({"r": rr, "n": nn, "x": x, "y": y})
+                break
     return report
 
 

@@ -79,7 +79,7 @@ class TestExitCodes:
             raise AssertionError("a partition was built")
 
         monkeypatch.setattr("colored_descents.verify.des_partition", fail)
-        for suite in ("closure-des", "idempotents"):
+        for suite in ("closure-des", "idempotents", "phi"):
             code, out, err = run(
                 capsys, "verify", suite, "--r", "2", "--n", "6", "--format", "json"
             )

@@ -8,12 +8,14 @@ import colored_descents.algebra
 from colored_descents import verify
 from colored_descents.algebra import (
     ClassPartition,
+    algebra_multiply,
     des_partition,
     partition_by,
+    structure_poly_eval,
     verify_closure,
 )
 from colored_descents.group import GroupTable
-from colored_descents.verify import run_suite, suite_closure_mr
+from colored_descents.verify import IDEMPOTENT_GROUPS, run_suite, suite_closure_mr
 
 
 def test_idempotents_build_one_partition_per_group(monkeypatch):
@@ -28,6 +30,45 @@ def test_idempotents_build_one_partition_per_group(monkeypatch):
     report = run_suite("idempotents", r=3, n=3)
     assert report.passed and report.checks == 18
     assert calls == [(3, 3)]
+
+
+def test_phi_builds_one_partition_per_group(monkeypatch):
+    calls = []
+    original = colored_descents.algebra.partition_by
+
+    def counting(*args, **kwargs):
+        calls.append(args[:2])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(colored_descents.algebra, "partition_by", counting)
+    report = run_suite("phi", j_max=1)
+    assert report.passed and report.checks == 4 * len(IDEMPOTENT_GROUPS)
+    assert calls == list(IDEMPOTENT_GROUPS)
+
+
+@pytest.mark.parametrize("r, n", IDEMPOTENT_GROUPS + ((2, 4),))
+def test_phi_suite_agrees_with_word_products(r, n):
+    # the suite multiplies class coordinates on the closure tensor; the
+    # reference multiplies phi(x) and phi(y) as whole-group elements
+    report = run_suite("phi", r=r, n=n, j_max=3)
+    assert report.passed and report.checks == 16
+    for x, y in report.params["pairs"]:
+        left = algebra_multiply(structure_poly_eval(r, n, x), structure_poly_eval(r, n, y))
+        assert left == structure_poly_eval(r, n, r * x * y + x + y), (x, y)
+
+
+def test_phi_names_its_first_failing_pair(monkeypatch):
+    # at G(2, 2), phi(x) has C(x + 1, 2) on C_1 and C(x, 2) on C_2, so a
+    # miscounted C_1 C_2 enters phi(x) phi(y) from x = 1, y = 2 on
+    def miscounted(partition):
+        report = verify_closure(partition)
+        report.tensor[1][2][0] += 1
+        return report
+
+    monkeypatch.setattr(verify, "verify_closure", miscounted)
+    report = run_suite("phi", r=2, n=2)
+    assert report.checks == 9 and not report.passed
+    assert report.failures == [{"r": 2, "n": 2, "x": 1, "y": 2}]
 
 
 def test_closed_partition_checks_make_no_word(monkeypatch):
@@ -45,6 +86,7 @@ def test_closed_partition_checks_make_no_word(monkeypatch):
     assert verify_closure(des_partition(3, 3)).passed
     assert run_suite("closure-des", r=3, n=3).passed
     assert run_suite("idempotents", r=3, n=3).passed
+    assert run_suite("phi", r=3, n=3).passed
 
 
 def test_closure_mr_fails_when_descents_are_not_measurable(monkeypatch):

@@ -265,6 +265,11 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     j_values = _parse_j_range(args.j)
+    # every suite checks j = 0..max, so a range must say so
+    if ".." in args.j and j_values[0] != 0:
+        raise UsageError(
+            f"verify checks j from 0: give --j as J or 0..J, not {args.j}"
+        )
     start = time.perf_counter()
     report = run_suite(
         args.suite,

@@ -17,11 +17,13 @@ integer arithmetic.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
 from bisect import bisect_left, bisect_right
 from collections import Counter
+from operator import gt
 from typing import Iterable, Iterator, Optional
 
 from .group import (
@@ -262,6 +264,28 @@ def _weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
         yield tuple(comp)
 
 
+@functools.lru_cache(maxsize=64)
+def _compartment_shapes(pi: ColoredPermutation, k: int) -> Counter:
+    """How often each compartment shape occurs over the placements of k
+    bars: the last compartment's word together with the sorted
+    (length, intdes) of the nonempty others."""
+    n, letters = pi.n, pi.letters
+    # internal[i]: descents between consecutive letters among the first i+1
+    internal = [0, *itertools.accumulate(map(gt, letters, letters[1:]))]
+    shapes: Counter = Counter()
+    # bars[i] bars stand after the first i letters; I is the set of i >= 1
+    # with bars[i] > 0, so each (I, placement) pair is one weak composition
+    for bars in _weak_compositions(k, n + 1):
+        cuts = [0] + [i for i, b in enumerate(bars) for _ in range(b)]
+        others = tuple(sorted(
+            (b - a, internal[b - 1] - internal[a])
+            for a, b in zip(cuts, cuts[1:])
+            if b > a
+        ))
+        shapes[letters[cuts[-1]:], others] += 1
+    return shapes
+
+
 def barred_chain_total(pi: ColoredPermutation, j: int, k: int) -> int:
     """Sum over all I of barred relaxed-chain counts with k bars.
 
@@ -271,23 +295,15 @@ def barred_chain_total(pi: ColoredPermutation, j: int, k: int) -> int:
     by its detached-chain order polynomial, except the rightmost one which
     stays anchored.  The grand total is returned as counted; by the paper
     it equals C(rjk + j + k + n - des(pi), n), which the ``barred`` suite
-    checks.
+    checks.  The placements are walked once per (pi, k) into compartment
+    shapes, and each j is counted from those.
     """
-    n, r = pi.n, pi.r
-    letters = pi.letters
+    r = pi.r
     total = 0
-    # bars[i] bars stand after the first i letters; I is the set of i >= 1
-    # with bars[i] > 0, so each (I, placement) pair is one weak composition
-    for bars in _weak_compositions(k, n + 1):
-        comps: list[list[ColoredLetter]] = [[]]
-        for i in range(1, n + 1):
-            comps.extend([] for _ in range(bars[i - 1]))
-            comps[-1].append(letters[i - 1])
-        comps.extend([] for _ in range(bars[n]))
-        product = omega_word(tuple(comps[-1]), j)
-        for comp in comps[:-1]:
-            m = len(comp)
-            product *= binom(r * j + m - word_intdes(tuple(comp)), m)
+    for (last, others), count in _compartment_shapes(pi, k).items():
+        product = count * omega_word(last, j)
+        for m, d in others:
+            product *= binom(r * j + m - d, m)
         total += product
     return total
 

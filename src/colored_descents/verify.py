@@ -13,6 +13,8 @@ import random
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from functools import lru_cache
+from operator import itemgetter
 
 from .algebra import (
     ClassPartition,
@@ -36,6 +38,7 @@ from .group import (
     descent_positions,
     enumerate_group,
     group_order,
+    group_table,
     group_words,
     parse_one_line,
     word_des,
@@ -55,7 +58,6 @@ from .ppartitions import (
     count_ppartitions_bruteforce,
     descent_class_sizes,
     omega_Ppi,
-    omega_word,
     random_colored_poset,
     verify_steingrimsson,
 )
@@ -164,11 +166,12 @@ def _run_cases(
 def _ftcpp_case(index: int, poset: ColoredPoset, j_max: int) -> dict:
     failures = []
     counts = []
+    m = len(poset.nonzero)  # the length of every extension
     for j in range(j_max + 1):
         brute = count_ppartitions_bruteforce(poset, j)
         if j == 0:  # once per poset; after the first count, so caps trip in order
-            extensions = colored_linear_extensions(poset)
-        via = sum(omega_word(w, j) for w in extensions)
+            by_des = Counter(map(word_des, colored_linear_extensions(poset)))
+        via = sum(count * binom(j + m - d, m) for d, count in by_des.items())
         counts.append(str(brute))
         if brute != via:
             failures.append(
@@ -235,42 +238,72 @@ def suite_order_poly(
 
 
 # ---------------------------------------------------------------------------
+# The quotient side of zigzag, chain and barred, read off table rows.
+
+@lru_cache(maxsize=2)
+def _quotient_side(r: int, n: int) -> tuple[list, list, list, itemgetter]:
+    """The words of G(r, n) in rank order, their descent sets and descent
+    numbers, and a gather of ``left_row(rank pi)`` that reads, for every
+    rank tau, the rank of sigma = pi tau^-1; then sigma^-1 pi = tau."""
+    table = group_table(r, n)
+    words = list(group_words(r, n))
+    inv = [table.rank(_inverse_word(r, w)) for w in words]
+    dsets = [descent_positions(w) for w in words]
+    # itemgetter of one index returns the item, not a 1-sequence
+    gather = itemgetter(*inv) if len(inv) > 1 else itemgetter(slice(1))
+    return words, dsets, list(map(len, dsets)), gather
+
+
+# ---------------------------------------------------------------------------
 # zigzag / chain: extension sets against descent conditions on quotients.
 
 def _lemma_case(r: int, n: int, mode: str, max_group_size: int) -> dict:
     # zigzag extensions have quotient descent set exactly I, chain ones within I
     matches = frozenset.__eq__ if mode == "zigzag" else frozenset.__le__
     make = zigzag_poset if mode == "zigzag" else chain_poset
-    # sigma^-1 pi lies in the class of descent set D iff sigma = pi tau^-1, tau in D
-    classes: dict[frozenset, list] = {}
-    for w in group_words(r, n, max_group_size):
-        classes.setdefault(descent_positions(w), []).append(_inverse_word(r, w))
+    _check_order(r, n, max_group_size)
+    words, labels, _, quotient_ranks = _quotient_side(r, n)
+    table = group_table(r, n)
+    subsets = [
+        frozenset(I)
+        for size in range(n + 1)
+        for I in itertools.combinations(range(1, n + 1), size)
+    ]
+    label_sizes = Counter(labels)
+    want_size = {
+        I: sum(m for D, m in label_sizes.items() if matches(D, I)) for I in subsets
+    }
     checks = extensions = 0
     failures = []
-    for pi in enumerate_group(r, n):
-        quotients = [
-            (D, {_compose_words(r, pi.letters, t) for t in inverses})
-            for D, inverses in classes.items()
-        ]
-        for size in range(n + 1):
-            for I in itertools.combinations(range(1, n + 1), size):
-                Iset = frozenset(I)
-                got = colored_linear_extensions(make(Iset, pi))
-                got_set = set(got)
-                want = set().union(*(ws for D, ws in quotients if matches(D, Iset)))
-                checks += 1
-                extensions += len(got)
-                if len(got) != len(got_set) or got_set != want:
-                    failures.append(
-                        {
-                            "r": r,
-                            "n": n,
-                            "pi": str(pi),
-                            "I": sorted(Iset),
-                            "extensions": sorted(word_str(w) for w in got),
-                            "expected": sorted(word_str(w) for w in want),
-                        }
-                    )
+    for p, pi in enumerate(enumerate_group(r, n)):
+        label_of = dict(
+            zip(map(words.__getitem__, quotient_ranks(table.left_row(p))), labels)
+        )
+        for I in subsets:
+            got = colored_linear_extensions(make(I, pi))
+            checks += 1
+            extensions += len(got)
+            # the right size, no repeats and every word in a matching class
+            # hold together exactly when the extensions are the class union;
+            # a word outside the group has no label
+            got_labels = set(map(label_of.get, got))
+            if (
+                len(got) != want_size[I]
+                or len(set(got)) != len(got)
+                or None in got_labels
+                or not all(matches(D, I) for D in got_labels)
+            ):
+                want = [w for w, D in label_of.items() if matches(D, I)]
+                failures.append(
+                    {
+                        "r": r,
+                        "n": n,
+                        "pi": str(pi),
+                        "I": sorted(I),
+                        "extensions": sorted(word_str(w) for w in got),
+                        "expected": sorted(word_str(w) for w in want),
+                    }
+                )
     return {"checks": checks, "failures": failures, "extensions": extensions}
 
 
@@ -325,14 +358,20 @@ def suite_chain(
 # ---------------------------------------------------------------------------
 # barred: the product identity via convolution and via barred chain posets.
 
+def _des_pairs(pi: ColoredPermutation) -> Counter:
+    """How often each (des(s), des(s^-1 pi)) occurs over the group.  As s
+    runs over the group so does t = s^-1 pi, and s = pi t^-1 is read off
+    pi's table row."""
+    _, _, des, quotient_ranks = _quotient_side(pi.r, pi.n)
+    table = group_table(pi.r, pi.n)
+    row = table.left_row(table.rank(pi.letters))
+    return Counter(zip(map(des.__getitem__, quotient_ranks(row)), des))
+
+
 def _barred_case(pi: ColoredPermutation, j_max: int, k_max: int) -> dict:
     r, n = pi.r, pi.n
-    # how often each (des(s), des(s^-1 pi)) occurs over the group; the
-    # convolution needs nothing else
-    des_pairs = Counter(
-        (word_des(s), word_des(_compose_words(r, _inverse_word(r, s), pi.letters)))
-        for s in group_words(r, n)
-    )
+    # the convolution needs nothing but the (des, des) histogram
+    des_pairs = _des_pairs(pi)
     checks = 0
     failures = []
     for j in range(j_max + 1):

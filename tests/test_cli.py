@@ -319,6 +319,28 @@ class TestArtifacts:
         )
         assert out.strip() == "[0, 0, 1, 3]"
 
+    def test_verify_j_range_starts_at_zero(self, capsys, monkeypatch):
+        # a suite checks j = 0..J, so a range with another lower end would
+        # be silently widened; order-poly evaluates exactly the range
+        code, _, err = run(capsys, "verify", "phi", "--r", "1", "--n", "3", "--j", "1..2")
+        assert code == 1
+        assert "J or 0..J" in err and "1..2" in err
+        assert main(["verify", "barred", "--r", "1", "--n", "2", "--j", "2..2"]) == 1
+        monkeypatch.setenv("COLORED_DESCENTS_J", "1..2")
+        assert main(["verify", "phi", "--r", "1", "--n", "3"]) == 1
+        monkeypatch.delenv("COLORED_DESCENTS_J")
+        for j in ("2", "0..2"):
+            code, out, _ = run(
+                capsys, "verify", "phi", "--r", "1", "--n", "3", "--j", j,
+                "--format", "json",
+            )
+            assert code == 0
+            assert len(json.loads(out)["results"]["params"]["pairs"]) == 9
+        code, out, _ = run(
+            capsys, "order-poly", "--pi", "2_1 1_1", "--r", "2", "--j", "2..3"
+        )
+        assert code == 0 and out.strip() == "[1, 3]"
+
     def test_order_poly_single_j(self, capsys):
         code, out, _ = run(
             capsys, "order-poly", "--pi", "2_1 1_1", "--r", "2", "--j", "2"

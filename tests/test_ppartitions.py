@@ -16,6 +16,7 @@ from colored_descents.group import (
     inverse,
     parse_one_line,
     word_des,
+    word_intdes,
 )
 from colored_descents.posets import (
     ColoredPoset,
@@ -423,6 +424,29 @@ class TestBarredChain:
                 for k in range(n + 3):
                     total = barred_chain_total(pi, j, k)
                     assert total == binom(r * j * k + j + k + n - d, n)
+
+    def test_shapes_match_a_direct_walk(self):
+        # one product per bar placement, each compartment cut out of pi
+        def direct(pi, j, k):
+            r, n, letters = pi.r, pi.n, pi.letters
+            total = 0
+            for bars in ppartitions._weak_compositions(k, n + 1):
+                comps = [[]]
+                for i in range(1, n + 1):
+                    comps.extend([] for _ in range(bars[i - 1]))
+                    comps[-1].append(letters[i - 1])
+                comps.extend([] for _ in range(bars[n]))
+                product = omega_word(tuple(comps[-1]), j)
+                for comp in comps[:-1]:
+                    m = len(comp)
+                    product *= binom(r * j + m - word_intdes(tuple(comp)), m)
+                total += product
+            return total
+
+        for pi in enumerate_group(2, 3):
+            for j in range(4):
+                for k in range(4):
+                    assert barred_chain_total(pi, j, k) == direct(pi, j, k)
 
 
 class TestRandomCorpus:

@@ -1,5 +1,6 @@
 import concurrent.futures
 import os
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,18 @@ from colored_descents.algebra import (
     structure_poly_eval,
     verify_closure,
 )
-from colored_descents.group import GroupTable
+from colored_descents.group import (
+    DEFAULT_MAX_GROUP_SIZE,
+    GroupTable,
+    _compose_words,
+    _inverse_word,
+    enumerate_group,
+    group_words,
+    parse_one_line,
+    word_des,
+    word_str,
+)
+from colored_descents.posets import chain_poset, colored_linear_extensions
 from colored_descents.verify import IDEMPOTENT_GROUPS, run_suite, suite_closure_mr
 
 
@@ -199,3 +211,77 @@ def test_closure_records_count_products():
     desset = run_suite("closure-desset", r=2, n=2)
     assert desset.details["closure"]["products"] == 5**2
     assert [f["products"] for f in desset.failures] == [5**2]
+
+
+def _drop(got, r, n):
+    return got[:-1] if got else None
+
+
+def _duplicate(got, r, n):
+    # in place of the last one, so the size still matches
+    return got[:-1] + [got[0]] if len(got) > 1 else None
+
+
+def _wrong_class(got, r, n):
+    # the extensions are a union of quotient classes, so a group word
+    # outside them is a word of another class
+    inside = set(got)
+    outside = next((w for w in group_words(r, n) if w not in inside), None)
+    return [outside] + got[1:] if got and outside else None
+
+
+def _non_group(got, r, n):
+    return got + [((0, 1),) * n]
+
+
+def _non_group_in_place(got, r, n):
+    return got[:-1] + [((0, 1),) * n] if got else None
+
+
+@pytest.mark.parametrize(
+    "perturb", [_drop, _duplicate, _wrong_class, _non_group, _non_group_in_place]
+)
+@pytest.mark.parametrize("mode", ["zigzag", "chain"])
+@pytest.mark.parametrize("r, n", [(2, 2), (3, 2)])
+def test_lemma_check_catches_perturbed_extensions(monkeypatch, perturb, mode, r, n):
+    # every perturbed extension list is reported with the true class union
+    # as expected, and no other (pi, I) is
+    perturbed = []
+
+    def extensions(poset):
+        got = colored_linear_extensions(poset)
+        bad = perturb(got, r, n)
+        if bad is None:
+            return got
+        perturbed.append((sorted(map(word_str, bad)), sorted(map(word_str, got))))
+        return bad
+
+    monkeypatch.setattr(verify, "colored_linear_extensions", extensions)
+    res = verify._lemma_case(r, n, mode, DEFAULT_MAX_GROUP_SIZE)
+    assert perturbed
+    assert [(f["extensions"], f["expected"]) for f in res["failures"]] == perturbed
+    assert all(f.keys() == {"r", "n", "pi", "I", "extensions", "expected"}
+               for f in res["failures"])
+
+
+@pytest.mark.parametrize("r, n", [(1, 4), (2, 3), (3, 3)])
+def test_des_pairs_read_off_a_table_row_match_word_products(r, n):
+    for pi in enumerate_group(r, n):
+        words = Counter(
+            (word_des(s), word_des(_compose_words(r, _inverse_word(r, s), pi.letters)))
+            for s in group_words(r, n)
+        )
+        assert verify._des_pairs(pi) == words, str(pi)
+
+
+def test_ftcpp_catches_a_dropped_extension(monkeypatch):
+    # the chain 1_0 < 2_1 < 0_1 has one extension, of des 1: dropping it
+    # loses C(j + 2 - 1, 2) from each j >= 1
+    poset = chain_poset((), parse_one_line("1_0 2_1", 2))
+    assert verify._ftcpp_case(0, poset, 3)["failures"] == []
+    monkeypatch.setattr(
+        verify, "colored_linear_extensions", lambda p: colored_linear_extensions(p)[1:]
+    )
+    res = verify._ftcpp_case(0, poset, 3)
+    assert [f["j"] for f in res["failures"]] == [1, 2, 3]
+    assert [f["extension_sum"] for f in res["failures"]] == ["0", "0", "0"]

@@ -28,7 +28,6 @@ from .posets import (
     ColoredPoset,
     chain_poset,
     colored_linear_extensions,
-    decompose_anchored,
     disjoint_union,
     linear_extensions,
     make_poset,
@@ -36,13 +35,11 @@ from .posets import (
 )
 from .ppartitions import (
     barred_chain_total,
-    barred_zigzag_count,
     binom,
     count_ppartitions_bruteforce,
     eulerian_polynomial,
     omega_Ppi,
     omega_pi,
-    omega_via_extensions,
     verify_steingrimsson,
 )
 from .algebra import (

@@ -576,6 +576,8 @@ def idempotent_class_table(r: int, n: int) -> list[list[Fraction]]:
     prod_{m<n} (x - 1 + r(n - d - m)), so each column is one integer
     product, divided by r^n n! only at the end.
     """
+    if r < 1 or n < 0:
+        raise ValueError("need r >= 1 and n >= 0")
     scale = r**n * math.factorial(n)
     columns = []
     for d in range(n + 1):

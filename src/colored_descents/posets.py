@@ -157,23 +157,6 @@ def linear_extensions(poset: ColoredPoset) -> list[Word]:
     return [word for _, word, _ in _expand(poset, False)]
 
 
-def decompose_anchored(r: int, word: Word) -> tuple[Word, ...]:
-    """Split a linear extension at its zero letters into r blocks, lowering
-    colors blockwise.
-
-    Block i holds the letters between 0_i and 0_{i+1} with every color
-    lowered by i modulo r.
-    """
-    blocks: list[list] = [[] for _ in range(r)]
-    i = 0
-    for c, v in word:
-        if v == 0:
-            i += 1
-        else:
-            blocks[i].append(((c - i) % r, v))
-    return tuple(map(tuple, blocks))
-
-
 @lru_cache(maxsize=1024)
 def _interleavings(cuts: tuple[int, ...], m: int) -> tuple[Callable[[Word], Word], ...]:
     """One getter per interleaving of the blocks ``word[a:b]`` between

@@ -24,7 +24,7 @@ import random
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from operator import gt
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .group import (
     DEFAULT_MAX_GROUP_SIZE,
@@ -33,8 +33,6 @@ from .group import (
     SizeCapExceeded,
     Word,
     _check_order,
-    _compose_words,
-    _inverse_word,
     group_words,
     word_des,
     word_intdes,
@@ -42,9 +40,7 @@ from .group import (
 from .posets import (
     ColoredPoset,
     _zero_letters,
-    colored_linear_extensions,
     make_poset,
-    zigzag_poset,
 )
 
 DEFAULT_MAX_MAPS = 10_000_000
@@ -167,11 +163,6 @@ def omega_pi(pi: ColoredPermutation, j: int) -> int:
     return omega_word(pi.letters, j)
 
 
-def omega_via_extensions(poset: ColoredPoset, j: int) -> int:
-    """Order polynomial summed over colored linear extensions (with multiplicity)."""
-    return sum(omega_word(w, j) for w in colored_linear_extensions(poset))
-
-
 def omega_Ppi(pi: ColoredPermutation, j: int) -> int:
     """Order polynomial of the chain of pi detached from the zero chain."""
     if j < 0:
@@ -227,26 +218,6 @@ def verify_steingrimsson(
         == sum(counts[d] * binom(j + n - d, n) for d in range(n + 1))
         for j in range(J + 1)
     )
-
-
-def barred_zigzag_count(
-    I: Iterable[int],
-    pi: ColoredPermutation,
-    j: int,
-    k: int,
-) -> int:
-    """Pairs (filling, bar placement) for the reversed-at-I chain of pi.
-
-    Counted as the sum over colored linear extensions sigma of
-    Omega_sigma(j) * C(k + n - des(sigma^{-1} pi), n).
-    """
-    I = frozenset(I)
-    r, n = pi.r, pi.n
-    total = 0
-    for w in colored_linear_extensions(zigzag_poset(I, pi)):
-        tau = _compose_words(r, _inverse_word(r, w), pi.letters)
-        total += omega_word(w, j) * binom(k + n - word_des(tau), n)
-    return total
 
 
 def _weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:

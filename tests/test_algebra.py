@@ -488,6 +488,11 @@ class TestIdempotents:
                 Fraction(v, 750) for v in nums
             ]
 
+    @pytest.mark.parametrize("r, n", [(0, 2), (1, -1), (-2, 3)])
+    def test_table_rejects_bad_input(self, r, n):
+        with pytest.raises(ValueError, match=r"^need r >= 1 and n >= 0$"):
+            idempotent_class_table(r, n)
+
     def test_table_evaluates_to_the_binomial(self):
         # sum_i alpha[i][d] x^i = C((x-1)/r + n - d, n) at n + 1 points
         # fixes the degree-n polynomial

@@ -22,7 +22,6 @@ from colored_descents.posets import (
     _zero_letters,
     chain_poset,
     colored_linear_extensions,
-    decompose_anchored,
     disjoint_union,
     linear_extensions,
     make_poset,
@@ -192,18 +191,22 @@ class TestLinearExtensions:
 
 
 class TestDecompose:
+    """The reference pipeline's block split, which the colored extensions
+    are compared against, on literal words."""
+
     def test_shifted_block(self):
         w = (L(1, 0), L(2, 0), L(1, 2), L(0, 1), L(1, 3), L(3, 0))
-        parts = decompose_anchored(4, w)
+        parts = reference_decompose(AnchoredWord(4, w))
         assert parts == ((), (), (L(3, 2), L(2, 1), L(3, 3)), ())
 
     def test_leading_word_unshifted(self):
         pi = parse_one_line("2_1 1_0", 3)
-        assert decompose_anchored(3, pi.letters + (L(1, 0), L(2, 0))) == (pi.letters, (), ())
+        w = AnchoredWord(3, pi.letters + (L(1, 0), L(2, 0)))
+        assert reference_decompose(w) == (pi.letters, (), ())
 
     def test_trailing_word_fully_shifted(self):
         pi = parse_one_line("2_1 1_0", 3)
-        parts = decompose_anchored(3, (L(1, 0), L(2, 0)) + pi.letters)
+        parts = reference_decompose(AnchoredWord(3, (L(1, 0), L(2, 0)) + pi.letters))
         assert parts == ((), (), tuple(L((x.color - 2) % 3, x.value) for x in pi.letters))
 
 

@@ -9,11 +9,9 @@ from colored_descents import ppartitions
 from colored_descents.group import (
     ColoredLetter,
     ColoredPermutation,
-    compose,
     enumerate_group,
     group_order,
     identity,
-    inverse,
     parse_one_line,
     word_des,
     word_intdes,
@@ -30,7 +28,6 @@ from colored_descents.posets import (
 from colored_descents.ppartitions import (
     SizeCapExceeded,
     barred_chain_total,
-    barred_zigzag_count,
     binom,
     count_ppartitions_bruteforce,
     descent_class_sizes,
@@ -38,12 +35,11 @@ from colored_descents.ppartitions import (
     eulerian_polynomial,
     omega_Ppi,
     omega_pi,
-    omega_via_extensions,
     omega_word,
     random_colored_poset,
     verify_steingrimsson,
 )
-from colored_descents.verify import CLOSURE_DES_SWEEP
+from colored_descents.verify import CLOSURE_DES_SWEEP, _ftcpp_case
 
 L = ColoredLetter
 
@@ -232,30 +228,36 @@ class TestOmegaPi:
 
 
 class TestOmegaViaExtensions:
+    """The fundamental theorem's extension sum, as ``verify ftcpp`` runs it:
+    ``_ftcpp_case`` reports the brute-force counts and a failure wherever
+    the sum over colored linear extensions differs."""
+
     def test_chain(self):
         pi = parse_one_line("2_0 1_1 3_1", 2)
-        for j in range(3):
-            chain = zigzag_poset(frozenset(), pi)
-            assert omega_via_extensions(chain, j) == omega_pi(pi, j)
+        res = _ftcpp_case(0, zigzag_poset(frozenset(), pi), 2)
+        assert res["failures"] == []
+        assert res["counts"] == [str(omega_pi(pi, j)) for j in range(3)]
 
     def test_singleton_union_zero_chain(self):
         for r in (2, 3, 4):
             for color in range(r):
                 poset = make_poset(r, 1, [L(color, 1)], [])
-                for j in range(4):
-                    assert omega_via_extensions(poset, j) == r * j + 1
-                    assert count_ppartitions_bruteforce(poset, j) == r * j + 1
+                res = _ftcpp_case(0, poset, 3)
+                assert res["failures"] == []
+                assert res["counts"] == [str(r * j + 1) for j in range(4)]
 
     def test_antichain(self):
         poset = make_poset(2, 2, [L(0, 1), L(0, 2)], [])
-        assert omega_via_extensions(poset, 1) == (2 * 1 + 1) ** 2 == 9
+        res = _ftcpp_case(0, poset, 1)
+        assert res["failures"] == []
+        assert res["counts"][1] == str((2 * 1 + 1) ** 2) == "9"
 
     def test_extension_cap(self, monkeypatch):
         # the one extension cap is posets' own, read at call time
         poset = make_poset(2, 2, [L(0, 1), L(0, 2)], [])
         monkeypatch.setattr("colored_descents.posets.DEFAULT_MAX_EXTENSIONS", 2)
         with pytest.raises(SizeCapExceeded, match="more than 2 linear extensions"):
-            omega_via_extensions(poset, 1)
+            _ftcpp_case(0, poset, 1)
 
 
 class TestOmegaDetachedChain:
@@ -358,47 +360,6 @@ class TestSteingrimsson:
         assert verify_steingrimsson(3, 2, 3)
 
 
-class TestBarredZigzag:
-    def test_too_few_bars(self):
-        pi = parse_one_line("2_1 1_2 3_2", 3)
-        assert barred_zigzag_count({1, 3}, pi, j=2, k=1) == 0
-
-    def test_no_bars_reduces_to_order_polynomial(self):
-        pi = parse_one_line("2_0 1_1 3_0", 2)
-        for j in range(3):
-            assert barred_zigzag_count(set(), pi, j, 0) == omega_via_extensions(
-                zigzag_poset(set(), pi), j
-            )
-
-    def test_worked_example(self):
-        pi = parse_one_line("2_1 1_2 3_2", 3)
-        words = colored_linear_extensions(zigzag_poset({1}, pi))
-        expected = sum(
-            omega_word(w, 1)
-            * binom(
-                1 + 3 - word_des(compose(inverse(ColoredPermutation(3, w)), pi).letters),
-                3,
-            )
-            for w in words
-        )
-        assert barred_zigzag_count({1}, pi, 1, 1) == expected == 3
-
-    def test_sum_over_subsets_is_convolution(self):
-        pi = parse_one_line("2_1 1_0", 2)
-        group = list(enumerate_group(2, 2))
-        for j in range(3):
-            for k in range(3):
-                lhs = sum(
-                    barred_zigzag_count(I, pi, j, k)
-                    for I in [set(), {1}, {2}, {1, 2}]
-                )
-                rhs = sum(
-                    omega_pi(s, j) * omega_pi(compose(inverse(s), pi), k)
-                    for s in group
-                )
-                assert lhs == rhs
-
-
 class TestBarredChain:
     def test_no_bars(self):
         pi = parse_one_line("2_1 1_0 3_1", 2)
@@ -453,11 +414,7 @@ class TestRandomCorpus:
     def test_oracle_agreement(self):
         rng = random.Random(42)
         for _ in range(40):
-            poset = random_colored_poset(rng)
-            for j in range(3):
-                assert count_ppartitions_bruteforce(
-                    poset, j
-                ) == omega_via_extensions(poset, j)
+            assert _ftcpp_case(0, random_colored_poset(rng), 2)["failures"] == []
 
     def test_product_rule(self):
         rng = random.Random(7)

@@ -166,6 +166,17 @@ def test_idempotents_catch_a_perturbed_table(monkeypatch, entry, records):
     assert report.failures == records
 
 
+def test_idempotents_reference_mismatch_is_not_matched(monkeypatch):
+    assert run_suite("idempotents", r=5, n=3).details["reference_table"] == "matched"
+    rows = dict(verify.REFERENCE_IDEMPOTENTS_5_3)
+    rows[1] = (219, 23, -22, 83)
+    monkeypatch.setattr(verify, "REFERENCE_IDEMPOTENTS_5_3", rows)
+    report = run_suite("idempotents", r=5, n=3)
+    assert not report.passed
+    assert report.failures == [{"r": 5, "n": 3, "table_row": 1}]
+    assert "reference_table" not in report.details
+
+
 @pytest.mark.parametrize("mode, extensions", [("zigzag", 64), ("chain", 136)])
 def test_lemma_reports_count_extensions(mode, extensions):
     # G(2, 2) has 8 elements and descent-set sizes 0, 1, 2 for 1, 6, 1 of

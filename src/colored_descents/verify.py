@@ -142,8 +142,8 @@ def _run_cases(
     report: SuiteReport, worker, cases: list[tuple], jobs: int
 ) -> list[dict]:
     """Run ``worker(*case)`` for every case in case order, in-process or over
-    at most ``jobs`` worker processes, no more than there are cases or CPUs;
-    merge checks and failures into the report."""
+    at most ``jobs`` worker processes, no more than there are cases or CPUs,
+    in about four chunks per worker; merge checks and failures into the report."""
     workers = min(jobs, len(cases), os.cpu_count() or 1)
     if workers <= 1:
         results = [worker(*case) for case in cases]
@@ -152,8 +152,9 @@ def _run_cases(
         # single-process run never needs
         from concurrent.futures import ProcessPoolExecutor
 
+        chunk = -(-len(cases) // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(worker, *zip(*cases)))
+            results = list(pool.map(worker, *zip(*cases), chunksize=chunk))
     for res in results:
         report.checks += res["checks"]
         report.failures.extend(res["failures"])
@@ -257,60 +258,58 @@ def _quotient_side(r: int, n: int) -> tuple[list, list, list, itemgetter]:
 # ---------------------------------------------------------------------------
 # zigzag / chain: extension sets against descent conditions on quotients.
 
-def _lemma_case(r: int, n: int, mode: str, max_group_size: int) -> dict:
+@lru_cache(maxsize=2)
+def _class_union_sizes(r: int, n: int, matches) -> dict[frozenset, int]:
+    """Each I within [n], by size, with how many words w have matches(Des w, I)."""
+    return {
+        I: sum(matches(D, I) for D in _quotient_side(r, n)[1])
+        for size in range(n + 1)
+        for I in map(frozenset, itertools.combinations(range(1, n + 1), size))
+    }
+
+
+def _lemma_case(pi: ColoredPermutation, mode: str) -> dict:
     # zigzag extensions have quotient descent set exactly I, chain ones within I
     matches = frozenset.__eq__ if mode == "zigzag" else frozenset.__le__
     make = zigzag_poset if mode == "zigzag" else chain_poset
-    _check_order(r, n, max_group_size)
-    words, labels, _, quotient_ranks = _quotient_side(r, n)
-    table = group_table(r, n)
-    subsets = [
-        frozenset(I)
-        for size in range(n + 1)
-        for I in itertools.combinations(range(1, n + 1), size)
-    ]
-    label_sizes = Counter(labels)
-    want_size = {
-        I: sum(m for D, m in label_sizes.items() if matches(D, I)) for I in subsets
-    }
-    checks = extensions = 0
+    words, labels, _, quotient_ranks = _quotient_side(pi.r, pi.n)
+    table = group_table(pi.r, pi.n)
+    row = table.left_row(table.rank(pi.letters))
+    label_of = dict(zip(map(words.__getitem__, quotient_ranks(row)), labels))
+    extensions = 0
     failures = []
-    for p, pi in enumerate(enumerate_group(r, n)):
-        label_of = dict(
-            zip(map(words.__getitem__, quotient_ranks(table.left_row(p))), labels)
-        )
-        for I in subsets:
-            got = colored_linear_extensions(make(I, pi))
-            checks += 1
-            extensions += len(got)
-            # the right size, no repeats and every word in a matching class
-            # hold together exactly when the extensions are the class union;
-            # a word outside the group has no label
-            got_labels = set(map(label_of.get, got))
-            if (
-                len(got) != want_size[I]
-                or len(set(got)) != len(got)
-                or None in got_labels
-                or not all(matches(D, I) for D in got_labels)
-            ):
-                want = [w for w, D in label_of.items() if matches(D, I)]
-                failures.append(
-                    {
-                        "r": r,
-                        "n": n,
-                        "pi": str(pi),
-                        "I": sorted(I),
-                        "extensions": sorted(word_str(w) for w in got),
-                        "expected": sorted(word_str(w) for w in want),
-                    }
-                )
-    return {"checks": checks, "failures": failures, "extensions": extensions}
+    for I, want_size in _class_union_sizes(pi.r, pi.n, matches).items():
+        got = colored_linear_extensions(make(I, pi))
+        extensions += len(got)
+        # the right size, no repeats and every word in a matching class
+        # hold together exactly when the extensions are the class union;
+        # a word outside the group has no label
+        got_labels = set(map(label_of.get, got))
+        if (
+            not want_size == len(got) == len(set(got))
+            or None in got_labels
+            or not all(matches(D, I) for D in got_labels)
+        ):
+            want = [w for w, D in label_of.items() if matches(D, I)]
+            failures.append(
+                {
+                    "r": pi.r,
+                    "n": pi.n,
+                    "pi": str(pi),
+                    "I": sorted(I),
+                    "extensions": sorted(word_str(w) for w in got),
+                    "expected": sorted(word_str(w) for w in want),
+                }
+            )
+    return {"checks": 2**pi.n, "failures": failures, "extensions": extensions}
 
 
 def _lemma_suite(mode: str, r, n, jobs, max_group_size) -> SuiteReport:
     combos = _groups(r, n, LEMMA_SWEEP)
     report = SuiteReport(mode, {"groups": combos})
-    case_list = [(rr, nn, mode, max_group_size) for rr, nn in combos]
+    case_list = [
+        (pi, mode) for group in combos for pi in enumerate_group(*group, max_group_size)
+    ]
     results = _run_cases(report, _lemma_case, case_list, jobs)
     # colored extensions generated, in case order so --jobs cannot change it
     report.details["extensions"] = sum(res["extensions"] for res in results)

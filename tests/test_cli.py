@@ -249,7 +249,9 @@ class TestVerifyReports:
         for argv in (
             ("ftcpp", "--r", "2", "--seed", "3", "--cases", "6"),
             ("order-poly", "--r", "2", "--n", "2"),
-            ("zigzag",),  # the default sweep: nine groups, so nine cases
+            ("zigzag",),  # the default sweep: one case per element of nine groups
+            ("zigzag", "--r", "2", "--n", "3"),
+            ("chain", "--r", "3", "--n", "2"),
             ("barred", "--r", "2", "--n", "2", "--j", "0..2", "--k", "2"),
         ):
             assert results("1", *argv) == results("2", *argv), argv

@@ -16,7 +16,6 @@ from colored_descents.algebra import (
     verify_closure,
 )
 from colored_descents.group import (
-    DEFAULT_MAX_GROUP_SIZE,
     GroupTable,
     _compose_words,
     _inverse_word,
@@ -187,6 +186,7 @@ def test_lemma_reports_count_extensions(mode, extensions):
 
 def test_jobs_are_capped_by_cases_and_cpus(monkeypatch):
     started = []
+    chunks = []
 
     class FakeExecutor:
         """Records max_workers and maps in-process; starts no process."""
@@ -200,7 +200,8 @@ def test_jobs_are_capped_by_cases_and_cpus(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, *iterables):
+        def map(self, fn, *iterables, chunksize=1):
+            chunks.append(chunksize)
             return map(fn, *iterables)
 
     # verify imports the pool only when it starts one
@@ -211,7 +212,28 @@ def test_jobs_are_capped_by_cases_and_cpus(monkeypatch):
     for cpus in (64, 3, None):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         assert run_suite("order-poly", r=2, n=2, jobs=10_000).to_json() == serial
-    assert started == [8, 3]
+    # G(3, 2) has 18 elements, so chain runs 18 cases; two workers take
+    # about four chunks each, of ceil(18 / 8) = 3 cases
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    chain = run_suite("chain", r=3, n=2, jobs=2).to_json()
+    assert chain == run_suite("chain", r=3, n=2, jobs=1).to_json()
+    assert started == [8, 3, 2]
+    # ceil(8 / 32) and ceil(8 / 12) for order-poly
+    assert chunks == [1, 1, 3]
+
+
+@pytest.mark.parametrize("mode, r, n, order", [("zigzag", 2, 2, 8), ("chain", 3, 2, 18)])
+def test_lemma_suites_run_one_case_per_group_element(monkeypatch, mode, r, n, order):
+    sizes = []
+    run_cases = verify._run_cases
+
+    def recording(report, worker, cases, jobs):
+        sizes.append(len(cases))
+        return run_cases(report, worker, cases, jobs)
+
+    monkeypatch.setattr(verify, "_run_cases", recording)
+    assert run_suite(mode, r=r, n=n).passed
+    assert sizes == [order]
 
 
 def test_closure_records_count_products():
@@ -268,11 +290,13 @@ def test_lemma_check_catches_perturbed_extensions(monkeypatch, perturb, mode, r,
         return bad
 
     monkeypatch.setattr(verify, "colored_linear_extensions", extensions)
-    res = verify._lemma_case(r, n, mode, DEFAULT_MAX_GROUP_SIZE)
+    failures = [
+        f for pi in enumerate_group(r, n) for f in verify._lemma_case(pi, mode)["failures"]
+    ]
     assert perturbed
-    assert [(f["extensions"], f["expected"]) for f in res["failures"]] == perturbed
+    assert [(f["extensions"], f["expected"]) for f in failures] == perturbed
     assert all(f.keys() == {"r", "n", "pi", "I", "extensions", "expected"}
-               for f in res["failures"])
+               for f in failures)
 
 
 @pytest.mark.parametrize("r, n", [(1, 4), (2, 3), (3, 3)])

@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
-from operator import eq, itemgetter
+from operator import eq
 from typing import Mapping, Optional, Sequence, Union
 
 from .group import (
@@ -29,6 +29,7 @@ from .group import (
     SizeCapExceeded,
     Word,
     _descent_flags,
+    _gather,
     _run_parts,
     descent_positions,
     group_order,
@@ -211,13 +212,11 @@ def _convolve(
     so the per-pair work runs in C.
     """
     counts = [Counter() for _ in rights]
-    gathers = [itemgetter(*ranks) for ranks in rights]
-    singles = [len(ranks) == 1 for ranks in rights]
+    gathers = [_gather(ranks) for ranks in rights]
     for s in left:
         row = table.left_row(s)
-        for count, gather, single in zip(counts, gathers, singles):
-            # itemgetter of one index returns the item, not a 1-tuple
-            count.update((gather(row),) if single else gather(row))
+        for count, gather in zip(counts, gathers):
+            count.update(gather(row))
     return counts
 
 

@@ -60,6 +60,7 @@ def _env(flag: str, fallback=None):
 CONFIG_FLAGS = (
     "command", "r", "n", "j", "k", "seed", "cases", "jobs", "max_group_size", "format",
 )
+_FORMATS = ("json", "csv", "text")
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -80,7 +81,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--format",
-        choices=("json", "csv", "text"),
+        choices=_FORMATS,
         default=_env("format", "text"),
     )
     parser.add_argument("--output", "-o", type=str, default=_env("output"),
@@ -133,6 +134,8 @@ def _validate_common(args: argparse.Namespace) -> None:
         raise UsageError("--n must be nonnegative")
     if args.cases < 0:
         raise UsageError("--cases must be nonnegative")
+    if args.format not in _FORMATS:  # argparse checks no preset against choices
+        raise UsageError(f"--format must be one of {', '.join(_FORMATS)}")
 
 
 def _emit(chunks: Iterable[str], output: Optional[str]) -> None:
@@ -376,7 +379,7 @@ def cmd_idempotents(args: argparse.Namespace) -> int:
 def cmd_eulerian_poly(args: argparse.Namespace) -> int:
     r = args.r if args.r is not None else 2
     n = args.n if args.n is not None else 2
-    coeffs = eulerian_polynomial(r, n, args.max_group_size)
+    coeffs = eulerian_polynomial(r, n)
     record = {
         "op": "eulerian-poly",
         "params": {"r": r, "n": n},

@@ -19,7 +19,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from operator import gt, itemgetter
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 DEFAULT_MAX_GROUP_SIZE = 10_000_000
 
@@ -175,6 +175,13 @@ def enumerate_group(
         yield ColoredPermutation(r, word)
 
 
+def _gather(indices: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """A getter of ``tuple(seq[i] for i in indices)``, for any number of indices."""
+    if len(indices) > 1:  # of one index, itemgetter returns the bare item
+        return itemgetter(*indices)
+    return lambda seq: tuple(map(seq.__getitem__, indices))
+
+
 class GroupTable:
     """Integer multiplication table of G(r, n) = (Z_r)^n ⋊ S_n.
 
@@ -201,7 +208,7 @@ class GroupTable:
         self._color_index = {c: i for i, c in enumerate(self._colors)}
         self._value_rows: dict[int, list[int]] = {}
         self._shift_rows: dict[int, list[int]] = {}
-        self._sum_gathers: dict[int, itemgetter] = {}
+        self._sum_gathers: dict[int, Callable] = {}
 
     def __len__(self) -> int:
         return len(self._perms) * len(self._colors)
@@ -252,7 +259,7 @@ class GroupTable:
             ]
         return row
 
-    def _sum_gather(self, c: int) -> itemgetter:
+    def _sum_gather(self, c: int) -> Callable[[Sequence], tuple]:
         """Gathers ``block[i]``, i being the index of color vector c + d
         mod r, for every d."""
         gather = self._sum_gathers.get(c)
@@ -262,10 +269,7 @@ class GroupTable:
                 self._color_index[tuple((a + b) % r for a, b in zip(colors, d))]
                 for d in self._colors
             ]
-            # itemgetter of one index returns the item, not a 1-sequence
-            gather = self._sum_gathers[c] = (
-                itemgetter(*row) if len(row) > 1 else itemgetter(slice(1))
-            )
+            gather = self._sum_gathers[c] = _gather(row)
         return gather
 
 

@@ -15,10 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
-from operator import itemgetter
 from typing import Callable, Iterable
 
-from .group import ColoredLetter, ColoredPermutation, SizeCapExceeded, Word
+from .group import ColoredLetter, ColoredPermutation, SizeCapExceeded, Word, _gather
 
 DEFAULT_MAX_EXTENSIONS = 1_000_000
 
@@ -175,8 +174,7 @@ def _interleavings(cuts: tuple[int, ...], m: int) -> tuple[Callable[[Word], Word
         ]
         if len(level) > cap:
             raise SizeCapExceeded(f"more than {cap} colored extensions")
-    # itemgetter of one index returns the letter, of none is an error
-    return (tuple,) if m < 2 else tuple(itemgetter(*picked) for picked, _ in level)
+    return tuple(_gather(picked) for picked, _ in level)
 
 
 def colored_linear_extensions(poset: ColoredPoset) -> list[Word]:

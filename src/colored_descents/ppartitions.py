@@ -32,7 +32,6 @@ from .group import (
     ColoredPermutation,
     SizeCapExceeded,
     Word,
-    _check_order,
     group_words,
     word_des,
     word_intdes,
@@ -196,12 +195,9 @@ def descent_class_sizes(r: int, n: int) -> list[int]:
     return sizes
 
 
-def eulerian_polynomial(
-    r: int, n: int, max_size: int = DEFAULT_MAX_GROUP_SIZE
-) -> tuple[int, ...]:
+def eulerian_polynomial(r: int, n: int) -> tuple[int, ...]:
     """Descent-number generating polynomial, trailing zeros trimmed.  The
-    coefficients are the closed class sizes; the group cap still applies."""
-    _check_order(r, n, max_size)
+    coefficients are the closed class sizes, so no group is walked."""
     counts = descent_class_sizes(r, n)
     while len(counts) > 1 and counts[-1] == 0:
         counts.pop()
@@ -283,7 +279,6 @@ def random_colored_poset(
     rng: random.Random,
     max_r: int = 3,
     max_values: int = 4,
-    edge_probability: float = 0.4,
     r: Optional[int] = None,
     value_offset: int = 0,
 ) -> ColoredPoset:
@@ -306,7 +301,7 @@ def random_colored_poset(
         for b in order[i + 1 :]:
             if a.value == 0 and b.value == 0:
                 continue
-            if rng.random() < edge_probability:
+            if rng.random() < 0.4:
                 covers.append((a, b))
     n = max(values, default=0)
     return make_poset(r, n, letters, covers)

@@ -13,8 +13,8 @@ import random
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from operator import itemgetter
+from functools import lru_cache, partial
+from typing import Callable
 
 from .algebra import (
     ClassPartition,
@@ -34,6 +34,7 @@ from .group import (
     ColoredPermutation,
     _check_order,
     _compose_words,
+    _gather,
     _inverse_word,
     descent_positions,
     enumerate_group,
@@ -242,7 +243,7 @@ def suite_order_poly(
 # The quotient side of zigzag, chain and barred, read off table rows.
 
 @lru_cache(maxsize=2)
-def _quotient_side(r: int, n: int) -> tuple[list, list, list, itemgetter]:
+def _quotient_side(r: int, n: int) -> tuple[list, list, list, Callable]:
     """The words of G(r, n) in rank order, their descent sets and descent
     numbers, and a gather of ``left_row(rank pi)`` that reads, for every
     rank tau, the rank of sigma = pi tau^-1; then sigma^-1 pi = tau."""
@@ -250,9 +251,7 @@ def _quotient_side(r: int, n: int) -> tuple[list, list, list, itemgetter]:
     words = list(group_words(r, n))
     inv = [table.rank(_inverse_word(r, w)) for w in words]
     dsets = [descent_positions(w) for w in words]
-    # itemgetter of one index returns the item, not a 1-sequence
-    gather = itemgetter(*inv) if len(inv) > 1 else itemgetter(slice(1))
-    return words, dsets, list(map(len, dsets)), gather
+    return words, dsets, list(map(len, dsets)), _gather(inv)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +303,9 @@ def _lemma_case(pi: ColoredPermutation, mode: str) -> dict:
     return {"checks": 2**pi.n, "failures": failures, "extensions": extensions}
 
 
-def _lemma_suite(mode: str, r, n, jobs, max_group_size) -> SuiteReport:
+def _lemma_suite(
+    mode: str, r=None, n=None, jobs=1, max_group_size=DEFAULT_MAX_GROUP_SIZE, **_
+) -> SuiteReport:
     combos = _groups(r, n, LEMMA_SWEEP)
     report = SuiteReport(mode, {"groups": combos})
     case_list = [
@@ -340,18 +341,6 @@ def _check_worked_example(report: SuiteReport, mode: str) -> None:
                 {"worked_example": "quotients", "got": sorted(quotients)}
             )
     report.details["worked_example"] = {"extensions": sorted(got)}
-
-
-def suite_zigzag(
-    r=None, n=None, jobs=1, max_group_size=DEFAULT_MAX_GROUP_SIZE, **_
-) -> SuiteReport:
-    return _lemma_suite("zigzag", r, n, jobs, max_group_size)
-
-
-def suite_chain(
-    r=None, n=None, jobs=1, max_group_size=DEFAULT_MAX_GROUP_SIZE, **_
-) -> SuiteReport:
-    return _lemma_suite("chain", r, n, jobs, max_group_size)
 
 
 # ---------------------------------------------------------------------------
@@ -629,8 +618,8 @@ def suite_variants(
 _SUITES = {
     "ftcpp": suite_ftcpp,
     "order-poly": suite_order_poly,
-    "zigzag": suite_zigzag,
-    "chain": suite_chain,
+    "zigzag": partial(_lemma_suite, "zigzag"),
+    "chain": partial(_lemma_suite, "chain"),
     "barred": suite_barred,
     "steingrimsson": suite_steingrimsson,
     "closure-des": suite_closure_des,

@@ -381,6 +381,16 @@ class TestEnvOverrides:
         code, out, _ = run(capsys, "eulerian-poly", "--r", "2", "--n", "2")
         assert out.strip() == "[1, 6, 1]"
 
+    def test_bad_format_preset_is_a_usage_error(self, capsys, monkeypatch):
+        # argparse checks a flag against its choices, but not a default
+        monkeypatch.setenv("COLORED_DESCENTS_FORMAT", "xml")
+        assert main(["eulerian-poly"]) == 1
+        assert main(["verify", "steingrimsson", "--r", "1", "--n", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--format must be one of json, csv, text" in captured.err
+        assert main(["eulerian-poly", "--format", "csv"]) == 0
+
 
 class TestVerifyIdempotentsEndToEnd:
     def test_five_colors_three_letters(self, capsys):

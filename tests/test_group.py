@@ -21,7 +21,7 @@ from colored_descents.group import (
     word_intdes,
     word_str,
 )
-from colored_descents.group import _run_parts
+from colored_descents.group import _gather, _run_parts
 
 
 def perm(text, r):
@@ -315,6 +315,13 @@ def test_group_table_matches_compose(s):
     assert table.word(table.rank(s.letters)) == s.letters
     row = table.left_row(table.rank(s.letters))
     assert row == [table.rank(compose(s, t).letters) for t in elements]
+
+
+@pytest.mark.parametrize("indices", [(), (2,), (3, 0, 3)], ids=len)
+def test_gather_returns_a_tuple_for_any_index_count(indices):
+    # itemgetter alone returns a bare item for one index and fails for none
+    for seq in (["a", "b", "c", "d"], ("a", "b", "c", "d")):
+        assert _gather(indices)(seq) == tuple(seq[i] for i in indices)
 
 
 class TestValidation:

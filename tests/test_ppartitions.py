@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from colored_descents import ppartitions
+from colored_descents.cli import main
 from colored_descents.group import (
     ColoredLetter,
     ColoredPermutation,
@@ -305,9 +307,14 @@ class TestEulerianPolynomial:
         )
         assert eulerian_polynomial(1, 4) == (1, 11, 11, 1)
 
-    def test_group_cap_still_holds(self):
-        with pytest.raises(SizeCapExceeded, match="group of order 46080 exceeds cap 100"):
-            eulerian_polynomial(2, 6, max_size=100)
+    def test_no_group_cap(self, capsys):
+        # the closed sizes walk no group, so no group cap bounds them
+        coeffs = eulerian_polynomial(5, 20)
+        assert len(coeffs) == 21
+        assert sum(coeffs) == 5**20 * math.factorial(20)
+        argv = ["eulerian-poly", "--r", "2", "--n", "6", "--max-group-size", "100"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "[1, 722, 10543, 23548, 10543, 722, 1]\n"
         with pytest.raises(ValueError):
             eulerian_polynomial(0, 2)
 

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable
+from itertools import combinations
+from typing import Callable, Iterable, Sequence
 
 from .group import ColoredLetter, ColoredPermutation, SizeCapExceeded, Word, _gather
 
@@ -106,36 +107,38 @@ def make_poset(
     return ColoredPoset(r, n, frozenset(elems), less)
 
 
-def _expand(poset: ColoredPoset, colored: bool) -> list[tuple[int, Word, tuple[int, ...]]]:
-    """Every linear extension as a ``(placed mask, prefix, cuts)`` triple, in
-    lexicographic order, one letter per level over the order ideals.  Plain,
-    the prefix is the word; colored, it holds the nonzero letters lowered by
-    their block index, and the cuts its length at each zero letter."""
-    if poset.unsatisfiable:
-        return []
-    cap = DEFAULT_MAX_EXTENSIONS
+def _order(poset: ColoredPoset) -> tuple[list[ColoredLetter], list[int], int]:
+    """The sorted elements, their predecessor masks, and the zeros' mask."""
     elems = sorted(poset.elements)
     index = {e: i for i, e in enumerate(elems)}
-    pred = [0] * len(elems)
+    # an unsatisfiable poset's elements wait on the r = 1 anchor, never placed
+    pred = [poset.unsatisfiable << len(elems)] * len(elems)
     for a, b in poset.less:
         pred[index[b]] |= 1 << index[a]
-    zeros = sum(1 << i for i, e in enumerate(elems) if not e.value)
+    return elems, pred, sum(1 << i for i, e in enumerate(elems) if not e.value)
 
-    def child(mask: int, i: int, e: ColoredLetter) -> tuple:
-        if not colored:
-            return mask | 1 << i, (e,), ()
-        if e.value:
-            block = (mask & zeros).bit_count()
-            return mask | 1 << i, (((e.color - block) % poset.r, e.value),), ()
+
+def _expand(pred: list[int], zeros: int, letters: Sequence[Sequence]) -> list[Word]:
+    """The linear extensions of the order in which element i has the
+    predecessor mask ``pred[i]``, in lexicographic order, one element per
+    level over the order ideals; each is cut into blocks at the elements of
+    the mask ``zeros`` and gives every interleaving of them.  Any other
+    element i adds ``letters[i][b]``, b counting the zero elements placed
+    before it, so with no zeros the words are the linear extensions."""
+    cap = DEFAULT_MAX_EXTENSIONS
+
+    def child(mask: int, i: int) -> tuple:
+        if not zeros >> i & 1:
+            return mask | 1 << i, (letters[i][(mask & zeros).bit_count()],), ()
         return mask | 1 << i, (), ((mask & ~zeros).bit_count(),)
 
     level = [(0, (), ())]
-    for _ in elems:
-        kids = {  # the letters an ideal admits, listed once per ideal
+    for _ in pred:
+        kids = {  # the elements an ideal admits, listed once per ideal
             mask: [
-                child(mask, i, e)
-                for i, e in enumerate(elems)
-                if not (mask >> i & 1 or pred[i] & ~mask)
+                child(mask, i)
+                for i, below in enumerate(pred)
+                if not (mask >> i & 1 or below & ~mask)
             ]
             for mask in {mask for mask, _, _ in level}
         }
@@ -147,13 +150,18 @@ def _expand(poset: ColoredPoset, colored: bool) -> list[tuple[int, Word, tuple[i
         # every prefix extends, so a level never outgrows the last one
         if len(level) > cap:
             raise SizeCapExceeded(f"more than {cap} linear extensions")
-    return level
+    m = len(pred) - zeros.bit_count()
+    tables = [_interleavings(cuts, m) for _, _, cuts in level]
+    if sum(map(len, tables)) > cap:
+        raise SizeCapExceeded(f"more than {cap} colored extensions")
+    return [g(prefix) for (_, prefix, _), table in zip(level, tables) for g in table]
 
 
 def linear_extensions(poset: ColoredPoset) -> list[Word]:
     """All words extending the poset, zero letters included, in
     lexicographic order."""
-    return [word for _, word, _ in _expand(poset, False)]
+    elems, pred, _ = _order(poset)
+    return _expand(pred, 0, [(e,) for e in elems])
 
 
 @lru_cache(maxsize=1024)
@@ -183,13 +191,9 @@ def colored_linear_extensions(poset: ColoredPoset) -> list[Word]:
     Duplicates arising from different anchored words are retained: the
     result is a list with multiplicity.
     """
-    cap = DEFAULT_MAX_EXTENSIONS
-    states = _expand(poset, True)
-    m = len(poset.nonzero)
-    tables = [_interleavings(cuts, m) for _, _, cuts in states]
-    if sum(map(len, tables)) > cap:
-        raise SizeCapExceeded(f"more than {cap} colored extensions")
-    return [g(prefix) for (_, prefix, _), table in zip(states, tables) for g in table]
+    elems, pred, zeros = _order(poset)
+    r = poset.r
+    return _expand(pred, zeros, [[((c - b) % r, v) for b in range(r)] for c, v in elems])
 
 
 def _anchored_chain(
@@ -221,6 +225,41 @@ def zigzag_poset(I: Iterable[int], pi: ColoredPermutation) -> ColoredPoset:
 def chain_poset(I: Iterable[int], pi: ColoredPermutation) -> ColoredPoset:
     """Chain on pi's letters with the relations at positions of I dropped."""
     return _anchored_chain(I, pi, reverse=False)
+
+
+def _anchored_words(r: int, n: int, I: frozenset, reverse: bool) -> list[tuple]:
+    """Colored extensions of G(r, n)'s anchored chains of shape I, as indices
+    ``p * r + b`` into pi's letters, letter p lowered by b.  Element p < n is
+    pi(p + 1), n + k - 1 is 0_k, and edge e joins e - 1 and e."""
+    # p is above p - 1 unless edge p is in I, and below p + 1 when edge p + 1
+    # is reversed; at r = 1 that can be the anchor, which is never placed
+    pred = [
+        (p not in I) << p >> 1 | (reverse and p + 1 in I) << p + 1
+        for p in range(n + r - 1)
+    ]
+    positions = [range(p * r, p * r + r) for p in range(n + r - 1)]
+    return _expand(pred, (1 << n + r - 1) - (1 << n), positions)
+
+
+@lru_cache(maxsize=2)
+def _anchored_templates(r: int, n: int, reverse: bool) -> dict[frozenset, list]:
+    """Every I within [n] with getters of its words, all in one entry, since
+    every pi walks every I."""
+    return {
+        I: [_gather(w) for w in _anchored_words(r, n, I, reverse)]
+        for size in range(n + 1)
+        for I in map(frozenset, combinations(range(1, n + 1), size))
+    }
+
+
+def _anchored_extensions(I: Iterable[int], pi: ColoredPermutation, reverse: bool) -> list:
+    """``colored_linear_extensions(_anchored_chain(I, pi, reverse))`` as a
+    multiset, read off the cached shape with no poset built."""
+    shape = _anchored_templates(pi.r, pi.n, reverse).get(frozenset(I))
+    if shape is None:
+        raise ValueError("I must be a subset of [n]")
+    lowered = [((c - b) % pi.r, v) for c, v in pi.letters for b in range(pi.r)]
+    return [g(lowered) for g in shape]
 
 
 def detached_chain_poset(pi: ColoredPermutation) -> ColoredPoset:

@@ -47,6 +47,7 @@ from .group import (
 )
 from .posets import (
     ColoredPoset,
+    _anchored_extensions,
     chain_poset,
     colored_linear_extensions,
     detached_chain_poset,
@@ -270,7 +271,6 @@ def _class_union_sizes(r: int, n: int, matches) -> dict[frozenset, int]:
 def _lemma_case(pi: ColoredPermutation, mode: str) -> dict:
     # zigzag extensions have quotient descent set exactly I, chain ones within I
     matches = frozenset.__eq__ if mode == "zigzag" else frozenset.__le__
-    make = zigzag_poset if mode == "zigzag" else chain_poset
     words, labels, _, quotient_ranks = _quotient_side(pi.r, pi.n)
     table = group_table(pi.r, pi.n)
     row = table.left_row(table.rank(pi.letters))
@@ -278,7 +278,7 @@ def _lemma_case(pi: ColoredPermutation, mode: str) -> dict:
     extensions = 0
     failures = []
     for I, want_size in _class_union_sizes(pi.r, pi.n, matches).items():
-        got = colored_linear_extensions(make(I, pi))
+        got = _anchored_extensions(I, pi, reverse=mode == "zigzag")
         extensions += len(got)
         # the right size, no repeats and every word in a matching class
         # hold together exactly when the extensions are the class union;

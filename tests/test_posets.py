@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass
 
 import pytest
@@ -18,6 +19,7 @@ from colored_descents.group import (
     word_str,
 )
 from colored_descents.posets import (
+    _anchored_extensions,
     _interleavings,
     _zero_letters,
     chain_poset,
@@ -445,6 +447,85 @@ class TestSubAlphabets:
             # relabel the values order-preservingly to 1..len(w)
             rank = {v: i for i, v in enumerate(sorted(v for _, v in w), start=1)}
             assert ColoredPermutation(2, tuple((c, rank[v]) for c, v in w)) in group
+
+
+def index_sets(n):
+    """Every I within [n], by size, as the shape templates list them."""
+    return [
+        frozenset(I)
+        for size in range(n + 1)
+        for I in itertools.combinations(range(1, n + 1), size)
+    ]
+
+
+class TestAnchoredTemplates:
+    """The cached shape templates give the generic route's colored
+    extensions of every zig-zag and chain poset, as multisets."""
+
+    MAKE = {True: zigzag_poset, False: chain_poset}
+
+    @pytest.fixture(autouse=True)
+    def fresh_templates(self):
+        posets._anchored_templates.cache_clear()
+        yield
+        posets._anchored_templates.cache_clear()
+
+    @pytest.mark.parametrize(
+        "r, n", [(1, 1), (1, 4), (2, 0), (2, 3), (3, 2), (3, 3), (4, 2)]
+    )
+    def test_match_the_generic_route(self, r, n):
+        for pi in enumerate_group(r, n):
+            for I in index_sets(n):
+                for reverse, make in self.MAKE.items():
+                    got = _anchored_extensions(I, pi, reverse)
+                    want = colored_linear_extensions(make(I, pi))
+                    assert Counter(got) == Counter(want), (str(pi), sorted(I), reverse)
+
+    def test_unsatisfiable_anchor_and_empty_group(self):
+        pi = parse_one_line("1_0 2_0", 1)
+        assert _anchored_extensions({2}, pi, True) == []
+        assert _anchored_extensions({2}, pi, False) == [((0, 1), (0, 2))]
+        empty = ColoredPermutation(2, ())
+        assert _anchored_extensions((), empty, True) == [()]
+
+    @pytest.mark.parametrize("I", [{0}, {3}, {1, 3}])
+    @pytest.mark.parametrize("reverse", [True, False])
+    def test_index_set_outside_n_rejected(self, I, reverse):
+        with pytest.raises(ValueError, match="subset"):
+            _anchored_extensions(I, parse_one_line("2_1 1_0", 2), reverse)
+
+    @pytest.mark.parametrize(
+        "pi, reverse", [("2_1 3_0 1_2", False), ("3_1 1_1 2_0", True)]
+    )
+    def test_cap_messages_match_the_generic_route(self, monkeypatch, pi, reverse):
+        # all shapes of a group are built at once, so the first shape in
+        # index-set order to exceed the cap is the one reported
+        pi = parse_one_line(pi, 3)
+        shapes = [self.MAKE[reverse](I, pi) for I in index_sets(3)]
+        counts = [
+            (len(reference_linear_extensions(p)), len(reference_colored_extensions(p)))
+            for p in shapes
+        ]
+        caps = {c + d for pair in counts for c in pair for d in (-1, 0)}
+        for cap in sorted(caps):
+            monkeypatch.setattr(posets, "DEFAULT_MAX_EXTENSIONS", cap)
+            posets._anchored_templates.cache_clear()
+            want = None
+            for n_linear, n_colored in counts:
+                if n_linear > cap:
+                    want = f"more than {cap} linear extensions"
+                elif n_colored > cap:
+                    want = f"more than {cap} colored extensions"
+                if want:
+                    break
+            if want is None:
+                got = _anchored_extensions({2}, pi, reverse)
+                want = colored_linear_extensions(self.MAKE[reverse]({2}, pi))
+                assert Counter(got) == Counter(want)
+            else:
+                with pytest.raises(SizeCapExceeded) as exc:
+                    _anchored_extensions({2}, pi, reverse)
+                assert str(exc.value) == want
 
 
 class TestUnsatisfiableBoundary:

@@ -1,4 +1,5 @@
 import concurrent.futures
+import json
 import os
 from collections import Counter
 from fractions import Fraction
@@ -6,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import colored_descents.algebra
-from colored_descents import verify
+from colored_descents import posets, verify
 from colored_descents.algebra import (
     ClassPartition,
     algebra_multiply,
@@ -15,6 +16,7 @@ from colored_descents.algebra import (
     structure_poly_eval,
     verify_closure,
 )
+from colored_descents.cli import main
 from colored_descents.group import (
     GroupTable,
     _compose_words,
@@ -25,7 +27,11 @@ from colored_descents.group import (
     word_des,
     word_str,
 )
-from colored_descents.posets import chain_poset, colored_linear_extensions
+from colored_descents.posets import (
+    _anchored_extensions,
+    chain_poset,
+    colored_linear_extensions,
+)
 from colored_descents.verify import IDEMPOTENT_GROUPS, run_suite, suite_closure_mr
 
 
@@ -281,15 +287,15 @@ def test_lemma_check_catches_perturbed_extensions(monkeypatch, perturb, mode, r,
     # as expected, and no other (pi, I) is
     perturbed = []
 
-    def extensions(poset):
-        got = colored_linear_extensions(poset)
+    def extensions(I, pi, reverse):
+        got = _anchored_extensions(I, pi, reverse)
         bad = perturb(got, r, n)
         if bad is None:
             return got
         perturbed.append((sorted(map(word_str, bad)), sorted(map(word_str, got))))
         return bad
 
-    monkeypatch.setattr(verify, "colored_linear_extensions", extensions)
+    monkeypatch.setattr(verify, "_anchored_extensions", extensions)
     failures = [
         f for pi in enumerate_group(r, n) for f in verify._lemma_case(pi, mode)["failures"]
     ]
@@ -297,6 +303,57 @@ def test_lemma_check_catches_perturbed_extensions(monkeypatch, perturb, mode, r,
     assert [(f["extensions"], f["expected"]) for f in failures] == perturbed
     assert all(f.keys() == {"r", "n", "pi", "I", "extensions", "expected"}
                for f in failures)
+
+
+@pytest.fixture
+def fresh_templates():
+    """An empty shape-template cache before and after the test, so neither a
+    patched walk nor a patched cap leaks into another test."""
+    posets._anchored_templates.cache_clear()
+    yield
+    posets._anchored_templates.cache_clear()
+
+
+@pytest.mark.parametrize("mode", ["zigzag", "chain"])
+@pytest.mark.parametrize("r, n", [(2, 2), (3, 2)])
+def test_lemma_suite_fails_on_an_off_by_one_color_lowering(
+    monkeypatch, capsys, fresh_templates, mode, r, n
+):
+    # one shape's words read each letter lowered one color too far
+    words = posets._anchored_words
+
+    def off_by_one(r, n, I, reverse):
+        got = words(r, n, I, reverse)
+        if I != {1}:
+            return got
+        return [tuple(x - x % r + (x + 1) % r for x in w) for w in got]
+
+    argv = ["verify", mode, "--r", str(r), "--n", str(n), "--format", "json"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    posets._anchored_templates.cache_clear()
+    monkeypatch.setattr(posets, "_anchored_words", off_by_one)
+    assert main(argv) == 3
+    failures = json.loads(capsys.readouterr().out)["results"]["failures"]
+    assert failures and {tuple(f["I"]) for f in failures} == {(1,)}
+
+
+@pytest.mark.parametrize("r, n", [(2, 3), (3, 2)])
+def test_lemma_suites_walk_each_shape_once(monkeypatch, fresh_templates, r, n):
+    walks = []
+    expand = posets._expand
+
+    def counting(pred, *args):
+        walks.append(len(pred))
+        return expand(pred, *args)
+
+    monkeypatch.setattr(posets, "_expand", counting)
+    for mode in ("zigzag", "chain"):
+        walks.clear()
+        assert run_suite(mode, r=r, n=n).passed
+        # one walk per shape I, and the worked example's on the generic
+        # route: its poset holds 3 letters and 2 zero letters
+        assert Counter(walks) == Counter({n + r - 1: 2**n}) + Counter({5: 1})
 
 
 @pytest.mark.parametrize("r, n", [(1, 4), (2, 3), (3, 3)])

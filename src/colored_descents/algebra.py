@@ -31,6 +31,7 @@ from .group import (
     _descent_flags,
     _gather,
     _run_parts,
+    _word_stats,
     descent_positions,
     group_order,
     group_table,
@@ -271,10 +272,14 @@ def partition_by(
     max_size: int = DEFAULT_MAX_GROUP_SIZE,
 ) -> ClassPartition:
     """Classes of the words of G(r, n) with equal ``label_fn(word)``, read
-    off one walk of the group in rank order and sorted by label."""
+    off one walk of the group in rank order and sorted by label.
+
+    label_fn must read only the colors and where the values descend, as
+    every descent statistic does: ``group._word_stats`` calls it once per
+    (value-descent flags, color vector), not once per word."""
     by_label: dict[object, list[int]] = {}
-    for rank, w in enumerate(group_words(r, n, max_size)):
-        by_label.setdefault(label_fn(w), []).append(rank)
+    for rank, label in enumerate(_word_stats(r, n, label_fn, max_size)):
+        by_label.setdefault(label, []).append(rank)
     classes = tuple(
         ClassInfo(label, tuple(ranks)) for label, ranks in sorted(by_label.items())
     )

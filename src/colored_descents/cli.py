@@ -23,13 +23,12 @@ from . import __version__, schemas
 from .group import (
     DEFAULT_MAX_GROUP_SIZE,
     ColoredComposition,
-    ColoredPermutation,
     SizeCapExceeded,
+    Word,
     _run_parts,
+    _word_stats,
     descent_positions,
-    group_words,
     parse_one_line,
-    permutation_to_json,
 )
 from .algebra import idempotent_class_table
 from .ppartitions import eulerian_polynomial, omega_pi
@@ -219,50 +218,69 @@ def _csv_line(fields: Sequence[object]) -> str:
     return ",".join(str(f) for f in fields) + "\n"
 
 
+def _permutation_block(r: int, n: int, letters: list) -> dict:
+    """The ``permutation`` field of an enumerate record.  ``_letter_walk``
+    makes only valid words, so no ``ColoredPermutation`` checks them."""
+    return {"r": r, "n": n, "letters": letters}
+
+
+def _letter_walk(
+    r: int, n: int, letter: Callable[[int, int], object]
+) -> Iterator[tuple]:
+    """The words of G(r, n) in ``group_words`` order, each as the tuple of
+    ``letter(value, color)`` over its positions; every letter is made once
+    per permutation, and shared by the words that hold it."""
+    for values in itertools.permutations(range(1, n + 1)):
+        yield from itertools.product(
+            *[[letter(v, c) for c in range(r)] for v in values]
+        )
+
+
 def cmd_enumerate(args: argparse.Namespace) -> int:
     r = args.r if args.r is not None else 2
     n = args.n if args.n is not None else 2
-    letter_text = {(c, v): f"{v}_{c}" for c in range(r) for v in range(1, n + 1)}
-    # group_words checks the cap here, so a refused run writes nothing; des
-    # and intdes are read off the one descent set, intdes dropping position n
-    rows = (
-        (rank, w, " ".join(map(letter_text.__getitem__, w)), descent_positions(w),
-         _run_parts(w))
-        for rank, w in enumerate(group_words(r, n, args.max_group_size))
-    )
-    if args.format == "json":
+    fmt = args.format
+
+    def stat(w: Word):
+        """The record fields of w other than its rank and letters; des and
+        intdes are read off the one descent set, intdes dropping position n."""
+        dset = descent_positions(w)
+        des, intdes, parts = len(dset), len(dset) - (n in dset), _run_parts(w)
+        if fmt == "json":
+            return sorted(dset), des, intdes, [list(part) for part in parts]
+        if fmt == "csv":
+            return (f",{' '.join(map(str, sorted(dset)))},{des},{intdes},"
+                    f"{ColoredComposition(parts)}\n")
+        return (f"Des={sorted(dset)} des={des} intdes={intdes} "
+                f"runs={[list(part) for part in parts]}\n")
+
+    # _word_stats checks the cap here, so a refused run writes nothing
+    rows = zip(itertools.count(), map(" ".join, _letter_walk(r, n, "{}_{}".format)),
+               _word_stats(r, n, stat, args.max_group_size))
+    if fmt == "json":
         records = (
             {
                 "rank": rank,
                 "word": text,
-                "permutation": permutation_to_json(ColoredPermutation(r, w)),
-                "descent_set": sorted(dset),
-                "des": len(dset),
-                "intdes": len(dset) - (n in dset),
-                "mr_key": [list(part) for part in parts],
+                "permutation": _permutation_block(r, n, list(letters)),
+                "descent_set": dset,
+                "des": des,
+                "intdes": intdes,
+                "mr_key": mr_key,
             }
-            for rank, w, text, dset, parts in rows
+            for (rank, text, (dset, des, intdes, mr_key)), letters
+            in zip(rows, _letter_walk(r, n, lambda v, c: [v, c]))
         )
         _emit(_json_array(records, "enumerate_record", _enumerate_renderer()),
               args.output)
-    elif args.format == "csv":
-        dset_text = functools.cache(lambda dset: " ".join(map(str, sorted(dset))))
-        parts_text = functools.cache(lambda parts: str(ColoredComposition(parts)))
+    elif fmt == "csv":
         header = ["rank", "word", "descent_set", "des", "intdes", "mr_key"]
         _emit(itertools.chain([_csv_line(header)], (
-            f"{rank},{text},{dset_text(dset)},{len(dset)},{len(dset) - (n in dset)},"
-            f"{parts_text(parts)}\n"
-            for rank, _, text, dset, parts in rows
+            f"{rank},{text}{suffix}" for rank, text, suffix in rows
         )), args.output)
     else:
-        dset_text = functools.cache(lambda dset: str(sorted(dset)))
-        parts_text = functools.cache(lambda parts: str([list(part) for part in parts]))
-        _emit((
-            f"{rank:>6}  {text:<24} Des={dset_text(dset)} "
-            f"des={len(dset)} intdes={len(dset) - (n in dset)} "
-            f"runs={parts_text(parts)}\n"
-            for rank, _, text, dset, parts in rows
-        ), args.output)
+        _emit((f"{rank:>6}  {text:<24} {suffix}" for rank, text, suffix in rows),
+              args.output)
     return EXIT_OK
 
 

@@ -167,6 +167,40 @@ def group_words(
     )
 
 
+def _word_stats(
+    r: int, n: int, stat: Callable[[Word], object],
+    max_size: int = DEFAULT_MAX_GROUP_SIZE,
+) -> Iterator:
+    """``map(stat, group_words(r, n, max_size))`` for a stat that reads only
+    the colors and where the values descend.
+
+    Color-first, letters i and i+1 compare by their values only when their
+    colors are equal, and a frame letter 0_a or 0_b meets only the first or
+    last color; so every descent set, descent count and run composition is
+    a function of the value-descent flags and the color vector.  stat runs
+    on the first permutation with given flags, once per color vector, and
+    that row is yielded again for every later permutation with the same
+    flags: at most 2^(n-1)·r^n calls against r^n·n! words.  The order is
+    checked against the cap at the call, before any word.
+    """
+    _check_order(r, n, max_size)
+    rows: dict[tuple[bool, ...], list] = {}
+
+    def row(values: tuple[int, ...]) -> list:
+        flags = tuple(map(gt, values, values[1:]))
+        stats = rows.get(flags)
+        if stats is None:
+            stats = rows[flags] = [
+                stat(tuple(zip(colors, values)))
+                for colors in itertools.product(range(r), repeat=n)
+            ]
+        return stats
+
+    return itertools.chain.from_iterable(
+        map(row, itertools.permutations(range(1, n + 1)))
+    )
+
+
 def enumerate_group(
     r: int, n: int, max_size: int = DEFAULT_MAX_GROUP_SIZE
 ) -> Iterator[ColoredPermutation]:

@@ -32,7 +32,7 @@ from .group import (
     ColoredPermutation,
     SizeCapExceeded,
     Word,
-    group_words,
+    _word_stats,
     word_des,
     word_intdes,
 )
@@ -174,7 +174,7 @@ def descent_counts(
     r: int, n: int, max_size: int = DEFAULT_MAX_GROUP_SIZE
 ) -> list[int]:
     """Histogram of descent numbers over the whole group, indices 0..n."""
-    counts = Counter(map(word_des, group_words(r, n, max_size)))
+    counts = Counter(_word_stats(r, n, word_des, max_size))
     return [counts[d] for d in range(n + 1)]
 
 

@@ -42,7 +42,7 @@ class TestEnumerate:
         # records are validated and written one at a time; a bad first
         # record writes nothing, and the schema error is not a usage error
         monkeypatch.setattr(
-            "colored_descents.cli.permutation_to_json", lambda pi: {"r": 0}
+            "colored_descents.cli._permutation_block", lambda r, n, letters: {"r": 0}
         )
         with pytest.raises(schemas.SchemaError, match="permutation"):
             main(["enumerate", "--r", "2", "--n", "2", "--format", "json"])
@@ -60,6 +60,19 @@ class TestEnumerate:
             capsys, "enumerate", "--r", "4", "--n", "9", "--max-group-size", "100"
         )
         assert code == 2
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    def test_cap_refusal_creates_no_output_file(self, capsys, tmp_path, fmt):
+        # the cap is checked before the output file is opened
+        target = tmp_path / "out"
+        code, out, err = run(
+            capsys, "enumerate", "--r", "4", "--n", "9", "--max-group-size", "100",
+            "--format", fmt, "--output", str(target),
+        )
+        assert code == 2
+        assert "exceeds cap 100" in err
+        assert out == ""
+        assert not target.exists()
 
     def test_bigger_group_count(self, capsys):
         code, out, _ = run(

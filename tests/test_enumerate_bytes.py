@@ -20,7 +20,9 @@ from colored_descents.group import (
 )
 from colored_descents.schemas import SchemaError
 
-GROUPS = ((1, 0), (1, 3), (2, 3), (3, 3), (4, 2))
+# (2,4) and (1,5) give many permutations one value-descent pattern, so the
+# statistics cached per (pattern, color vector) are reused across them
+GROUPS = ((1, 0), (1, 3), (2, 3), (3, 3), (4, 2), (2, 4), (1, 5))
 
 
 def _csv_line(fields):
@@ -79,14 +81,14 @@ def test_enumerate_matches_reference_bytes(capsys, r, n, fmt):
 
 
 def test_a_bad_record_stops_the_stream_after_the_good_ones(capsys, monkeypatch):
-    real = cli.permutation_to_json
+    real = cli._permutation_block
     calls = []
 
-    def third_is_bad(pi):
-        calls.append(pi)
-        return {"r": 0} if len(calls) == 3 else real(pi)
+    def third_is_bad(r, n, letters):
+        calls.append(letters)
+        return {"r": 0} if len(calls) == 3 else real(r, n, letters)
 
-    monkeypatch.setattr(cli, "permutation_to_json", third_is_bad)
+    monkeypatch.setattr(cli, "_permutation_block", third_is_bad)
     with pytest.raises(SchemaError, match=r"^\$\.permutation: fails required"):
         main(["enumerate", "--r", "2", "--n", "2", "--format", "json"])
     out = capsys.readouterr().out

@@ -1,3 +1,6 @@
+import functools
+import itertools
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -18,10 +21,11 @@ from colored_descents.group import (
     mr_key,
     parse_one_line,
     permutation_to_json,
+    word_des,
     word_intdes,
     word_str,
 )
-from colored_descents.group import _gather, _run_parts
+from colored_descents.group import _gather, _run_parts, _word_stats
 
 
 def perm(text, r):
@@ -124,6 +128,53 @@ def test_word_str_matches_letter_str():
         for w in group_words(r, n):
             assert word_str(w) == " ".join(str(ColoredLetter(*x)) for x in w)
     assert word_str(((3, 12), (0, 1))) == "12_3 1_0"
+
+
+WORD_STATS_GROUPS = [(r, n) for r in range(1, 5) for n in range(5)] + [(2, 5), (3, 5)]
+
+
+def _descent_stats(r):
+    """Every statistic the factor walk serves: des, runs, the descent set
+    label and the framed descent positions for each frame 0_a, 0_b."""
+    stats = {
+        "des": word_des,
+        "runs": _run_parts,
+        "desset": lambda w: tuple(sorted(descent_positions(w))),
+    }
+    for a, b in itertools.product(range(r), repeat=2):
+        stats[f"frame({a},{b})"] = functools.partial(descent_positions, a=a, b=b)
+    return stats
+
+
+class TestWordStats:
+    @pytest.mark.parametrize("r,n", WORD_STATS_GROUPS, ids=str)
+    def test_matches_a_stat_of_every_word(self, r, n):
+        for name, stat in _descent_stats(r).items():
+            walked = list(_word_stats(r, n, stat))
+            assert walked == list(map(stat, group_words(r, n))), name
+
+    def test_a_stat_that_reads_a_value_disagrees(self):
+        # the walk reuses one word's result for every permutation with the
+        # same flags, so a stat of the values is not served
+        def first_letter(w):
+            return w[0]
+
+        walked = list(_word_stats(2, 3, first_letter))
+        assert walked != list(map(first_letter, group_words(2, 3)))
+
+    def test_calls_the_stat_once_per_flags_and_colors(self):
+        calls = []
+
+        def counting(w):
+            calls.append(w)
+            return word_des(w)
+
+        assert sum(1 for _ in _word_stats(3, 5, counting)) == 29160 == group_order(3, 5)
+        assert len(calls) == 3888 == 3**5 * 2**4
+
+    def test_checks_cap_at_the_call(self):
+        with pytest.raises(SizeCapExceeded):
+            _word_stats(10, 10, word_des, max_size=1000)
 
 
 class TestDescents:

@@ -52,7 +52,6 @@ from .algebra import (
     class_sums_mr,
     eulerian_idempotents,
     is_in_span,
-    structure_constants,
     structure_poly_eval,
     verify_closure,
 )

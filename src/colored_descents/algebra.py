@@ -394,9 +394,6 @@ class ClosureReport:
     pairs of group elements actually composed.
     """
 
-    kind: str
-    r: int
-    n: int
     failures: tuple[ClosureFailure, ...]
     tensor: Optional[list[list[list[int]]]] = field(default=None, compare=False)
     products: int = field(default=0, compare=False)
@@ -469,14 +466,7 @@ def verify_closure(partition: ClassPartition) -> ClosureReport:
         check(big, k, column, len(classes[k]), -1)
     check(big, big, corner, 2 * len(classes[big]) - len(table))
     failures.sort(key=lambda f: (f.left, f.right))
-    return ClosureReport(
-        partition.kind,
-        partition.r,
-        partition.n,
-        tuple(failures),
-        None if failures else tensor,
-        products,
-    )
+    return ClosureReport(tuple(failures), None if failures else tensor, products)
 
 
 def _span_scan(classes: Sequence[Sequence]):
@@ -507,31 +497,6 @@ def _span_scan(classes: Sequence[Sequence]):
                     return None, (members[0], key, ref, c)
 
     return scan
-
-
-def structure_constants(
-    partition: ClassPartition, closure: Optional[ClosureReport] = None
-) -> list[list[list[int]]]:
-    """Integer tensor m with class_sum_j * class_sum_k = sum_i m[j][k][i] sum_i.
-
-    Requires closure: pass a ClosureReport for the same partition, or let
-    the function verify closure itself.  The tensor is the one read off the
-    closure check's products; no second pass over the group is made.
-    """
-    if closure is None:
-        closure = verify_closure(partition)
-    if (closure.kind, closure.r, closure.n) != (
-        partition.kind,
-        partition.r,
-        partition.n,
-    ):
-        raise ValueError("closure report does not match the partition")
-    if not closure.passed:
-        raise ValueError(
-            f"closure not established for {partition.kind} on "
-            f"G({partition.r},{partition.n})"
-        )
-    return closure.tensor
 
 
 def collapsed_product(

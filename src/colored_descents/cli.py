@@ -25,6 +25,7 @@ from .group import (
     ColoredComposition,
     SizeCapExceeded,
     Word,
+    _letter_walk,
     _run_parts,
     _word_stats,
     descent_positions,
@@ -219,21 +220,9 @@ def _csv_line(fields: Sequence[object]) -> str:
 
 
 def _permutation_block(r: int, n: int, letters: list) -> dict:
-    """The ``permutation`` field of an enumerate record.  ``_letter_walk``
+    """The ``permutation`` field of an enumerate record.  ``group._letter_walk``
     makes only valid words, so no ``ColoredPermutation`` checks them."""
     return {"r": r, "n": n, "letters": letters}
-
-
-def _letter_walk(
-    r: int, n: int, letter: Callable[[int, int], object]
-) -> Iterator[tuple]:
-    """The words of G(r, n) in ``group_words`` order, each as the tuple of
-    ``letter(value, color)`` over its positions; every letter is made once
-    per permutation, and shared by the words that hold it."""
-    for values in itertools.permutations(range(1, n + 1)):
-        yield from itertools.product(
-            *[[letter(v, c) for c in range(r)] for v in values]
-        )
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
@@ -254,8 +243,11 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         return (f"Des={sorted(dset)} des={des} intdes={intdes} "
                 f"runs={[list(part) for part in parts]}\n")
 
+    def walk(letter: Callable[[int, int], object]) -> Iterator[tuple]:
+        return itertools.chain.from_iterable(w for _, w in _letter_walk(r, n, letter))
+
     # _word_stats checks the cap here, so a refused run writes nothing
-    rows = zip(itertools.count(), map(" ".join, _letter_walk(r, n, "{}_{}".format)),
+    rows = zip(itertools.count(), map(" ".join, walk("{}_{}".format)),
                _word_stats(r, n, stat, args.max_group_size))
     if fmt == "json":
         records = (
@@ -269,7 +261,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
                 "mr_key": mr_key,
             }
             for (rank, text, (dset, des, intdes, mr_key)), letters
-            in zip(rows, _letter_walk(r, n, lambda v, c: [v, c]))
+            in zip(rows, walk(lambda v, c: [v, c]))
         )
         _emit(_json_array(records, "enumerate_record", _enumerate_renderer()),
               args.output)

@@ -150,21 +150,27 @@ def _check_order(r: int, n: int, max_size: int) -> None:
         )
 
 
+def _letter_walk(
+    r: int, n: int, letter: Callable[[int, int], object] = lambda v, c: (c, v)
+) -> Iterator[tuple[tuple[int, ...], Iterator[tuple]]]:
+    """The one walk of the canonical order: each value permutation, in
+    lexicographic order, with the iterator of its words, whose color
+    vectors count in base r with the least significant digit at position n.
+    A word is the tuple of ``letter(value, color)`` over its positions;
+    every letter is made once, and shared by the words that hold it."""
+    pools = {v: tuple(letter(v, c) for c in range(r)) for v in range(1, n + 1)}
+    for values in itertools.permutations(range(1, n + 1)):
+        yield values, itertools.product(*map(pools.__getitem__, values))
+
+
 def group_words(
     r: int, n: int, max_size: int = DEFAULT_MAX_GROUP_SIZE
 ) -> Iterator[Word]:
-    """Stream the words of all r^n * n! group elements in canonical order.
-
-    Underlying permutations run in lexicographic order; for each, the color
-    vector counts in base r with the least significant digit at position n.
-    The order is checked against the cap at the call, before any word.
-    """
+    """Stream the words of all r^n * n! group elements in canonical order,
+    the order of ``_letter_walk``.  The order is checked against the cap at
+    the call, before any word."""
     _check_order(r, n, max_size)
-    return (
-        tuple(zip(colors, values))
-        for values in itertools.permutations(range(1, n + 1))
-        for colors in itertools.product(range(r), repeat=n)
-    )
+    return itertools.chain.from_iterable(words for _, words in _letter_walk(r, n))
 
 
 def _word_stats(
@@ -178,27 +184,22 @@ def _word_stats(
     colors are equal, and a frame letter 0_a or 0_b meets only the first or
     last color; so every descent set, descent count and run composition is
     a function of the value-descent flags and the color vector.  stat runs
-    on the first permutation with given flags, once per color vector, and
-    that row is yielded again for every later permutation with the same
-    flags: at most 2^(n-1)·r^n calls against r^n·n! words.  The order is
-    checked against the cap at the call, before any word.
+    on the words of the first permutation with given flags, and that row is
+    yielded again for every later permutation with the same flags: at most
+    2^(n-1)·r^n calls against r^n·n! words.  The order is checked against
+    the cap at the call, before any word.
     """
     _check_order(r, n, max_size)
     rows: dict[tuple[bool, ...], list] = {}
 
-    def row(values: tuple[int, ...]) -> list:
+    def row(values: tuple[int, ...], words: Iterator[Word]) -> list:
         flags = tuple(map(gt, values, values[1:]))
         stats = rows.get(flags)
         if stats is None:
-            stats = rows[flags] = [
-                stat(tuple(zip(colors, values)))
-                for colors in itertools.product(range(r), repeat=n)
-            ]
+            stats = rows[flags] = list(map(stat, words))
         return stats
 
-    return itertools.chain.from_iterable(
-        map(row, itertools.permutations(range(1, n + 1)))
-    )
+    return itertools.chain.from_iterable(itertools.starmap(row, _letter_walk(r, n)))
 
 
 def enumerate_group(

@@ -24,7 +24,7 @@ import random
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from operator import gt
-from typing import Iterator, Optional
+from typing import Optional
 
 from .group import (
     DEFAULT_MAX_GROUP_SIZE,
@@ -216,21 +216,6 @@ def verify_steingrimsson(
     )
 
 
-def _weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 0 or total < 0:
-        if total == 0:
-            yield ()
-        return
-    for cuts in itertools.combinations(range(total + parts - 1), parts - 1):
-        prev = -1
-        comp = []
-        for c in cuts:
-            comp.append(c - prev - 1)
-            prev = c
-        comp.append(total + parts - 2 - prev)
-        yield tuple(comp)
-
-
 @functools.lru_cache(maxsize=64)
 def _compartment_shapes(pi: ColoredPermutation, k: int) -> Counter:
     """How often each compartment shape occurs over the placements of k
@@ -240,10 +225,11 @@ def _compartment_shapes(pi: ColoredPermutation, k: int) -> Counter:
     # internal[i]: descents between consecutive letters among the first i+1
     internal = [0, *itertools.accumulate(map(gt, letters, letters[1:]))]
     shapes: Counter = Counter()
-    # bars[i] bars stand after the first i letters; I is the set of i >= 1
-    # with bars[i] > 0, so each (I, placement) pair is one weak composition
-    for bars in _weak_compositions(k, n + 1):
-        cuts = [0] + [i for i, b in enumerate(bars) for _ in range(b)]
+    # a placement is a multiset of k positions in 0..n, a bar at i standing
+    # after the first i letters; I is the set of its positions i >= 1, so
+    # each (I, placement) pair is one multiset
+    for bars in itertools.combinations_with_replacement(range(n + 1), k):
+        cuts = [0, *bars]
         others = tuple(sorted(
             (b - a, internal[b - 1] - internal[a])
             for a, b in zip(cuts, cuts[1:])

@@ -160,7 +160,6 @@ _TYPES = {
     "integer": lambda x: (isinstance(x, int) and not isinstance(x, bool))
     or (isinstance(x, float) and x.is_integer()),
 }
-_IS_NUMBER = _TYPES["number"]
 # the usual type of each, accepted without a call
 _EXACT = {"object": dict, "array": list, "string": str, "number": int, "integer": int}
 
@@ -178,7 +177,10 @@ def _compile(schema: dict) -> Callable[[object], None]:
     """A checker for schema, with the Draft 2020-12 semantics of the eight
     keywords the schemas use, each applied only to instances of its own
     type.  Subschemas, patterns and keyword values are read once, here, and
-    a typed schema checks only its own type's keywords."""
+    a typed schema checks only its own type's keywords.  The one untyped
+    schema is ``{}``, which accepts anything; any other raises KeyError."""
+    if schema == {}:
+        return lambda obj: None
     required = tuple(schema.get("required", ()))
     properties = tuple(
         (key, _compile(sub)) for key, sub in schema.get("properties", {}).items()
@@ -225,20 +227,6 @@ def _compile(schema: dict) -> Callable[[object], None]:
     def on_number(obj: float) -> None:
         if minimum is not None and obj < minimum:
             fail("minimum")
-
-    if "type" not in schema:
-
-        def check(obj: object) -> None:
-            if isinstance(obj, dict):
-                on_object(obj)
-            elif isinstance(obj, list):
-                on_array(obj)
-            elif isinstance(obj, str):
-                on_string(obj)
-            elif _IS_NUMBER(obj):
-                on_number(obj)
-
-        return check
 
     kind = schema["type"]
     is_type = _TYPES[kind]

@@ -52,7 +52,6 @@ from colored_descents.algebra import (
     eulerian_idempotents,
     idempotent_class_table,
     is_in_span,
-    structure_constants,
     structure_poly_eval,
     tensor_mass_check,
     variant_partition,
@@ -110,7 +109,7 @@ def test_c02_idempotency_and_orthogonality():
             partition = des_partition(r, n)
             closure = verify_closure(partition)
             assert closure.passed, (r, n)
-            tensor = structure_constants(partition, closure)
+            tensor = closure.tensor
             idems = eulerian_idempotents(r, n)
             coords = [is_in_span(c, partition).vector for c in idems]
             zero = tuple(Fraction(0) for _ in partition.classes)
@@ -151,7 +150,7 @@ def test_c04_subalgebra_closure():
             partition = des_partition(r, n)
             closure = verify_closure(partition)
             assert closure.passed, (r, n, [f.to_json() for f in closure.failures])
-            tensor = structure_constants(partition, closure)
+            tensor = closure.tensor
             sizes = [info.size for info in partition.classes]
             assert tensor_mass_check(tensor, sizes), (r, n)
 

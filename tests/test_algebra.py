@@ -41,7 +41,6 @@ from colored_descents.algebra import (
     is_in_span,
     mr_partition,
     rational_binom,
-    structure_constants,
     structure_poly_eval,
     tensor_mass_check,
     variant_partition,
@@ -386,40 +385,39 @@ class TestStructureConstants:
             des_partition(3, 2),
             mr_partition(2, 2),
         ):
-            assert structure_constants(partition) == factorisation_count_tensor(
+            assert verify_closure(partition).tensor == factorisation_count_tensor(
                 partition
             ), (partition.kind, partition.r, partition.n)
 
     def test_trivial_group(self):
-        tensor = structure_constants(des_partition(1, 1))
+        tensor = verify_closure(des_partition(1, 1)).tensor
         assert tensor == [[[1]]]
 
     def test_mass_identity(self):
         partition = des_partition(3, 2)
-        tensor = structure_constants(partition)
+        tensor = verify_closure(partition).tensor
         sizes = [info.size for info in partition.classes]
         assert tensor_mass_check(tensor, sizes)
 
     @pytest.mark.parametrize("r, n", CLOSURE_DES_SWEEP)
     def test_descent_tensor_is_commutative(self, r, n):
         # the descent-class algebra is spanned by orthogonal idempotents
-        tensor = structure_constants(des_partition(r, n))
+        tensor = verify_closure(des_partition(r, n)).tensor
         K = len(tensor)
         assert all(tensor[j][k] == tensor[k][j] for j in range(K) for k in range(K))
 
     def test_mr_tensor_is_not_commutative(self):
         # the Mantaci-Reutenauer algebra is not, so the check can fail
-        tensor = structure_constants(mr_partition(2, 2))
+        tensor = verify_closure(mr_partition(2, 2)).tensor
         K = len(tensor)
         assert any(tensor[j][k] != tensor[k][j] for j in range(K) for k in range(K))
 
     def test_refuses_unclosed_partition(self):
-        with pytest.raises(ValueError, match="closure not established"):
-            structure_constants(desset_partition(2, 2))
+        assert verify_closure(desset_partition(2, 2)).tensor is None
 
     def test_collapsed_matches_naive(self):
         partition, sums = class_sums_des(2, 3)
-        tensor = structure_constants(partition)
+        tensor = verify_closure(partition).tensor
         idems = eulerian_idempotents(2, 3)
         coords = [is_in_span(c, partition).vector for c in idems]
         for i in range(4):

@@ -395,11 +395,21 @@ class TestBarredChain:
                     assert total == binom(r * j * k + j + k + n - d, n)
 
     def test_shapes_match_a_direct_walk(self):
-        # one product per bar placement, each compartment cut out of pi
+        # one product per bar placement, each compartment cut out of pi; a
+        # placement is bars[i] bars after the first i letters, one weak
+        # composition of k into n + 1 parts
+        def weak_compositions(total, parts):
+            if parts == 1:
+                yield (total,)
+                return
+            for first in range(total + 1):
+                for rest in weak_compositions(total - first, parts - 1):
+                    yield (first, *rest)
+
         def direct(pi, j, k):
             r, n, letters = pi.r, pi.n, pi.letters
             total = 0
-            for bars in ppartitions._weak_compositions(k, n + 1):
+            for bars in weak_compositions(k, n + 1):
                 comps = [[]]
                 for i in range(1, n + 1):
                     comps.extend([] for _ in range(bars[i - 1]))
@@ -412,9 +422,10 @@ class TestBarredChain:
                 total += product
             return total
 
+        # k runs to n + 2, past the n + 1 spaces, where some space holds several bars
         for pi in enumerate_group(2, 3):
             for j in range(4):
-                for k in range(4):
+                for k in range(pi.n + 3):
                     assert barred_chain_total(pi, j, k) == direct(pi, j, k)
 
 

@@ -159,8 +159,18 @@ def _subschemas(schema: dict):
 
 
 def test_schemas_use_only_checked_keywords():
-    # a keyword the checker does not know would be silently ignored
+    # a keyword the checker does not know would be silently ignored, and
+    # the checker compiles an untyped subschema only when it is {}
     for name, schema in SCHEMAS.items():
         for sub in _subschemas(schema):
             assert set(sub) <= CHECKED_KEYWORDS, (name, sub)
-            assert sub.get("type") in CHECKED_TYPES | {None}, (name, sub)
+            if "type" in sub:
+                assert sub["type"] in CHECKED_TYPES, (name, sub)
+            else:
+                assert sub == {}, (name, sub)
+
+
+def test_untyped_schema_other_than_empty_fails_at_compile():
+    assert schemas._compile({})([1, "x"]) is None
+    with pytest.raises(KeyError):
+        schemas._compile({"minimum": 0})

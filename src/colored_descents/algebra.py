@@ -16,7 +16,6 @@ from __future__ import annotations
 import functools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
 from operator import eq
@@ -30,6 +29,7 @@ from .group import (
     Word,
     _descent_flags,
     _gather,
+    _Record,
     _run_parts,
     _word_stats,
     descent_positions,
@@ -61,22 +61,18 @@ def rational_binom(y: Scalar, n: int) -> Fraction:
     return out / math.factorial(n)
 
 
-@dataclass(frozen=True, eq=True)
-class GroupAlgebraElement:
+class GroupAlgebraElement(_Record):
     """Sparse exact-rational formal sum of group elements.
 
     Keys of ``coeffs`` are one-line letter words; zero coefficients are
     never stored.  Instances are treated as immutable values.
     """
 
-    r: int
-    n: int
-    coeffs: dict[Word, Scalar] = field(compare=True)
+    _fields = ("r", "n", "coeffs")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "coeffs", {w: c for w, c in self.coeffs.items() if c != 0}
-        )
+    def __init__(self, r: int, n: int, coeffs: dict[Word, Scalar]) -> None:
+        coeffs = {w: c for w, c in coeffs.items() if c != 0}
+        vars(self).update(r=r, n=n, coeffs=coeffs)
 
     def coefficient(self, pi: Union[ColoredPermutation, Word]) -> Scalar:
         key = pi.letters if isinstance(pi, ColoredPermutation) else tuple(pi)
@@ -221,29 +217,31 @@ def _convolve(
     return counts
 
 
-@dataclass(frozen=True)
-class ClassInfo:
+class ClassInfo(_Record):
     """One class: its members as ``GroupTable`` ranks, ascending."""
 
-    label: object
-    ranks: tuple[int, ...]
+    _fields = ("label", "ranks")
+
+    def __init__(self, label: object, ranks: tuple[int, ...]) -> None:
+        vars(self).update(label=label, ranks=ranks)
 
     @property
     def size(self) -> int:
         return len(self.ranks)
 
 
-@dataclass(frozen=True)
-class ClassPartition:
+class ClassPartition(_Record):
     """A set partition of the group with stable class indexing.
 
     Blocks are nonempty and sorted by label.
     """
 
-    r: int
-    n: int
-    kind: str
-    classes: tuple[ClassInfo, ...]
+    _fields = ("r", "n", "kind", "classes")
+
+    def __init__(
+        self, r: int, n: int, kind: str, classes: tuple[ClassInfo, ...]
+    ) -> None:
+        vars(self).update(r=r, n=n, kind=kind, classes=classes)
 
     @functools.cached_property
     def order(self) -> tuple[Word, ...]:
@@ -340,12 +338,17 @@ def variant_partition(
     return partition_by(r, n, f"desvar({a},{b})", label, max_size)
 
 
-@dataclass(frozen=True)
-class SpanCheck:
+class SpanCheck(_Record):
     """Result of testing membership in the span of a partition's class sums."""
 
-    vector: Optional[tuple[Scalar, ...]]
-    witness: Optional[tuple[Word, Word, Scalar, Scalar]]
+    _fields = ("vector", "witness")
+
+    def __init__(
+        self,
+        vector: Optional[tuple[Scalar, ...]],
+        witness: Optional[tuple[Word, Word, Scalar, Scalar]],
+    ) -> None:
+        vars(self).update(vector=vector, witness=witness)
 
     @property
     def in_span(self) -> bool:
@@ -366,11 +369,15 @@ def is_in_span(a: GroupAlgebraElement, partition: ClassPartition) -> SpanCheck:
     return SpanCheck(None if vector is None else tuple(vector), witness)
 
 
-@dataclass(frozen=True)
-class ClosureFailure:
-    left: int
-    right: int
-    witness: tuple[Word, Word, Scalar, Scalar]
+class ClosureFailure(_Record):
+    """A product of the left and right classes' sums that leaves the span."""
+
+    _fields = ("left", "right", "witness")
+
+    def __init__(
+        self, left: int, right: int, witness: tuple[Word, Word, Scalar, Scalar]
+    ) -> None:
+        vars(self).update(left=left, right=right, witness=witness)
 
     def to_json(self) -> dict:
         w1, w2, c1, c2 = self.witness
@@ -384,19 +391,28 @@ class ClosureFailure:
         }
 
 
-@dataclass(frozen=True)
-class ClosureReport:
+class ClosureReport(_Record):
     """Outcome of a closure check.
 
     ``tensor`` holds the structure constants read off the checked products,
     ``tensor[j][k]`` being the span vector of class_sum_j * class_sum_k; it
     is None unless every product lies in the span.  ``products`` counts the
-    pairs of group elements actually composed.
+    pairs of group elements actually composed.  Equality and hashing read
+    ``failures`` only.
     """
 
-    failures: tuple[ClosureFailure, ...]
-    tensor: Optional[list[list[list[int]]]] = field(default=None, compare=False)
-    products: int = field(default=0, compare=False)
+    _fields = ("failures", "tensor", "products")
+
+    def __init__(
+        self,
+        failures: tuple[ClosureFailure, ...],
+        tensor: Optional[list[list[list[int]]]] = None,
+        products: int = 0,
+    ) -> None:
+        vars(self).update(failures=failures, tensor=tensor, products=products)
+
+    def _key(self) -> tuple:
+        return (self.failures,)
 
     @property
     def passed(self) -> bool:

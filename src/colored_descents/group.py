@@ -17,7 +17,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from operator import gt, itemgetter
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -57,24 +56,58 @@ def word_str(word: Word) -> str:
     return " ".join([f"{v}_{c}" for c, v in word])
 
 
-@dataclass(frozen=True)
-class ColoredPermutation:
+class _Record:
+    """Base of the package's immutable records, in place of a frozen
+    dataclass, whose import alone costs every CLI process ~10 ms.
+
+    ``_fields`` names the attributes in constructor order; ``__init__``
+    stores them straight into ``vars(self)``, and equality, hashing and
+    the repr read them.  Assigning or deleting an attribute afterwards
+    raises AttributeError.  Instances keep their ``__dict__``, so
+    ``cached_property`` works and default pickling restores them without
+    calling ``__setattr__``.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple(map(vars(self).__getitem__, self._fields))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class ColoredPermutation(_Record):
     """An element of the r-colored permutation group in one-line notation."""
 
-    r: int
-    letters: Word
+    _fields = ("r", "letters")
 
-    def __post_init__(self) -> None:
-        if self.r < 1:
+    def __init__(self, r: int, letters: Word) -> None:
+        if r < 1:
             raise ValueError("r must be at least 1")
-        letters = tuple(ColoredLetter(*x) for x in self.letters)
-        object.__setattr__(self, "letters", letters)
+        letters = tuple(ColoredLetter(*x) for x in letters)
         n = len(letters)
         if sorted(x.value for x in letters) != list(range(1, n + 1)):
             raise ValueError(f"values of {word_str(letters)!r} are not 1..{n}")
         for x in letters:
-            if not 0 <= x.color < self.r:
-                raise ValueError(f"color of {x} out of range for r={self.r}")
+            if not 0 <= x.color < r:
+                raise ValueError(f"color of {x} out of range for r={r}")
+        vars(self).update(r=r, letters=letters)
 
     @property
     def n(self) -> int:
@@ -339,12 +372,17 @@ def word_intdes(word: Word) -> int:
     return sum(map(gt, word, word[1:]))
 
 
-@dataclass(frozen=True)
-class DescentProfile:
+class DescentProfile(_Record):
     """Descent set of a word together with its internal restriction."""
 
-    descent_set: frozenset[int]
-    internal_descent_set: frozenset[int]
+    _fields = ("descent_set", "internal_descent_set")
+
+    def __init__(
+        self, descent_set: frozenset[int], internal_descent_set: frozenset[int]
+    ) -> None:
+        vars(self).update(
+            descent_set=descent_set, internal_descent_set=internal_descent_set
+        )
 
     @property
     def des(self) -> int:
@@ -360,11 +398,13 @@ def descent_profile(pi: ColoredPermutation) -> DescentProfile:
     return DescentProfile(full, full - {pi.n})
 
 
-@dataclass(frozen=True)
-class ColoredComposition:
+class ColoredComposition(_Record):
     """Lengths and colors of the maximal increasing monochromatic runs."""
 
-    parts: tuple[tuple[int, int], ...]
+    _fields = ("parts",)
+
+    def __init__(self, parts: tuple[tuple[int, int], ...]) -> None:
+        vars(self).update(parts=parts)
 
     @property
     def n(self) -> int:

@@ -13,12 +13,18 @@ of them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
-from .group import ColoredLetter, ColoredPermutation, SizeCapExceeded, Word, _gather
+from .group import (
+    ColoredLetter,
+    ColoredPermutation,
+    SizeCapExceeded,
+    Word,
+    _gather,
+    _Record,
+)
 
 DEFAULT_MAX_EXTENSIONS = 1_000_000
 
@@ -27,8 +33,7 @@ def _zero_letters(r: int) -> tuple[ColoredLetter, ...]:
     return tuple(ColoredLetter(k, 0) for k in range(1, r))
 
 
-@dataclass(frozen=True)
-class ColoredPoset:
+class ColoredPoset(_Record):
     """A strict partial order on zero letters plus distinct-valued letters.
 
     ``less`` is the full transitive closure.  ``unsatisfiable`` flags the
@@ -36,11 +41,19 @@ class ColoredPoset:
     such a poset has no linear extensions.
     """
 
-    r: int
-    n: int
-    elements: frozenset[ColoredLetter]
-    less: frozenset[tuple[ColoredLetter, ColoredLetter]]
-    unsatisfiable: bool = False
+    _fields = ("r", "n", "elements", "less", "unsatisfiable")
+
+    def __init__(
+        self,
+        r: int,
+        n: int,
+        elements: frozenset[ColoredLetter],
+        less: frozenset[tuple[ColoredLetter, ColoredLetter]],
+        unsatisfiable: bool = False,
+    ) -> None:
+        vars(self).update(
+            r=r, n=n, elements=elements, less=less, unsatisfiable=unsatisfiable
+        )
 
     @cached_property
     def nonzero(self) -> tuple[ColoredLetter, ...]:
@@ -213,7 +226,9 @@ def _anchored_chain(
     ]
     poset = make_poset(pi.r, pi.n, pi.letters, rels)
     if reverse and pi.r == 1 and pi.n in I:
-        return replace(poset, unsatisfiable=True)
+        return ColoredPoset(
+            poset.r, poset.n, poset.elements, poset.less, unsatisfiable=True
+        )
     return poset
 
 

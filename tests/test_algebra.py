@@ -1,3 +1,4 @@
+import pickle
 from collections import Counter
 from fractions import Fraction
 from operator import itemgetter
@@ -23,8 +24,12 @@ from colored_descents.group import (
 )
 from colored_descents.verify import CLOSURE_DES_SWEEP
 from colored_descents.algebra import (
+    ClassInfo,
+    ClassPartition,
     ClosureFailure,
+    ClosureReport,
     GroupAlgebraElement,
+    SpanCheck,
     algebra_add,
     algebra_multiply,
     algebra_scale,
@@ -84,6 +89,19 @@ class TestElementArithmetic:
             structure_poly_eval(2, 2, 1.5)
         with pytest.raises(TypeError):
             rational_binom(0.5, 2)
+
+    def test_element_record(self):
+        e, w = identity(2, 2).letters, parse_one_line("2_1 1_0", 2).letters
+        a = GroupAlgebraElement(2, 2, {w: 0, e: Fraction(1, 2)})
+        assert a.coeffs == {e: Fraction(1, 2)}  # zeros are dropped
+        assert a == GroupAlgebraElement(2, 2, {e: Fraction(1, 2)})
+        assert a != GroupAlgebraElement(3, 2, {e: Fraction(1, 2)})
+        with pytest.raises(AttributeError):
+            a.coeffs = {}
+        with pytest.raises(TypeError):  # its coeffs are a dict
+            hash(a)
+        clone = pickle.loads(pickle.dumps(a))
+        assert clone == a and clone.coeffs == a.coeffs
 
 
 def naive_product(a, b):
@@ -256,6 +274,15 @@ class TestSpan:
                 for b in sums:
                     assert is_in_span(algebra_multiply(a, b), partition).in_span
 
+    def test_span_check_record(self):
+        partition, sums = class_sums_des(2, 2)
+        check = is_in_span(sums[1], partition)
+        assert check == SpanCheck((0, 1, 0), None)
+        assert hash(check) == hash(((0, 1, 0), None))
+        assert pickle.loads(pickle.dumps(check)) == check
+        with pytest.raises(AttributeError):
+            check.vector = None
+
 
 class TestPartitionRanks:
     @pytest.mark.parametrize("r, n", [(1, 3), (2, 0), (2, 3), (3, 2)])
@@ -290,6 +317,22 @@ class TestPartitionRanks:
         message = "group of order 29160 exceeds cap 100"
         with pytest.raises(SizeCapExceeded, match=message):
             des_partition(3, 5, max_size=100)
+
+    def test_partition_records(self):
+        partition = des_partition(2, 2)
+        order = partition.order
+        assert partition.order is order  # cached on the instance
+        assert partition == ClassPartition(2, 2, "des", partition.classes)
+        assert hash(partition) == hash((2, 2, "des", partition.classes))
+        assert partition != ClassPartition(2, 2, "mr", partition.classes)
+        clone = pickle.loads(pickle.dumps(partition))
+        assert clone == partition and clone.order == order
+        info = partition.classes[1]
+        assert info == ClassInfo(1, info.ranks) and info.size == len(info.ranks)
+        with pytest.raises(AttributeError):
+            partition.kind = "mr"
+        with pytest.raises(AttributeError):
+            info.ranks = ()
 
 
 def reference_closure_failures(partition):
@@ -358,6 +401,26 @@ class TestClosure:
         monkeypatch.setattr(GroupTable, "left_row", fail)
         with pytest.raises(SizeCapExceeded, match="507691024 products exceed cap"):
             verify_closure(partition)
+
+    def test_report_equality_ignores_tensor_and_products(self):
+        report = verify_closure(des_partition(2, 2))
+        bare = ClosureReport(())
+        assert (bare.tensor, bare.products) == (None, 0)
+        assert report.tensor is not None and report.products > 0
+        assert report == bare and hash(report) == hash(bare) == hash(((),))
+        failing = verify_closure(desset_partition(2, 2))
+        assert failing != report
+        failure = failing.failures[0]
+        assert failure == ClosureFailure(failure.left, failure.right, failure.witness)
+        clone = pickle.loads(pickle.dumps(failing))
+        assert clone == failing and clone.products == failing.products
+        assert [f.to_json() for f in clone.failures] == [
+            f.to_json() for f in failing.failures
+        ]
+        with pytest.raises(AttributeError):
+            report.products = 0
+        with pytest.raises(AttributeError):
+            failure.left = 0
 
 
 def factorisation_count_tensor(partition):
@@ -569,3 +632,11 @@ class TestVariantPartitions:
                 assert closed == same
                 if (a, b) == (0, 1):
                     assert same
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_equal_frames_make_one_class_at_n1(self, r):
+        # 0_a x 0_a descends exactly once whatever x is
+        for a in range(r):
+            partition = variant_partition(r, 1, a, a)
+            assert [info.size for info in partition.classes] == [r]
+            assert verify_closure(partition).passed

@@ -9,6 +9,7 @@ import pytest
 import colored_descents
 from colored_descents import schemas
 from colored_descents.cli import main
+from colored_descents.verify import SuiteReport, run_suite
 
 
 def run(capsys, *argv):
@@ -202,6 +203,27 @@ class TestExitCodes:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[3, 0] []"
 
+    def test_cli_runs_without_dataclasses(self):
+        # dataclasses pulls in inspect, ast, dis and tokenize: ~10 ms of
+        # start-up in every CLI process, so the package's records do without it
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(colored_descents.__file__).parents[1]), env.get("PYTHONPATH", "")]
+        )
+        code = (
+            "import io, sys, contextlib; from colored_descents.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [main(['enumerate']), main(['idempotents']),\n"
+            "             main(['verify', 'closure-des', '--r', '2', '--n', '2'])]\n"
+            "print(codes, sorted({'dataclasses', 'inspect', 'ast'} & set(sys.modules)))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[0, 0, 0] []"
+
 
 class TestVerifyReports:
     def test_json_envelope(self, capsys):
@@ -225,6 +247,34 @@ class TestVerifyReports:
         assert report["version"]
         assert report["config"]["command"] == "verify"
         assert report["results"]["passed"] is True
+
+    def test_suite_report_json_and_equality(self):
+        report = run_suite("variants", r=2, n=2)
+        scan = [
+            {"a": 0, "b": 0, "equals_standard": False, "closure": False},
+            {"a": 0, "b": 1, "equals_standard": True, "closure": True},
+            {"a": 1, "b": 0, "equals_standard": False, "closure": False},
+            {"a": 1, "b": 1, "equals_standard": False, "closure": False},
+        ]
+        assert json.dumps(report.to_json()) == json.dumps({
+            "suite": "variants",
+            "params": {"r": 2, "n": 2},
+            "checks": 4,
+            "failures": [],
+            "details": {"scan": scan},
+            "passed": True,
+        })
+        assert report == run_suite("variants", r=2, n=2)
+        assert report != SuiteReport("variants", {"r": 2, "n": 2})
+        with pytest.raises(TypeError):  # suites fill reports in: unhashable
+            hash(report)
+        empty, other = SuiteReport("a", {}), SuiteReport("a", {})
+        assert empty.to_json() == {
+            "suite": "a", "params": {}, "checks": 0, "failures": [], "details": {},
+            "passed": False,
+        }
+        empty.failures.append("x")
+        assert other.failures == []  # each report has its own lists
 
     def test_deterministic_apart_from_duration(self, capsys):
         def normalized():
@@ -435,6 +485,30 @@ class TestVariantScanScope:
         scan = report["results"]["details"]["scan"]
         assert len(scan) == 9
         assert report["results"]["checks"] == 9
+
+    @pytest.mark.parametrize("r, n, one_class", [
+        (2, 1, [(0, 0), (1, 1)]),
+        (3, 1, [(0, 0), (1, 1), (2, 2)]),
+        (2, 2, []),
+        (3, 2, []),
+    ])
+    def test_one_class_frames_are_no_counterexample(self, capsys, r, n, one_class):
+        # at n = 1 a frame (a, a) puts all of G(r, 1) in one class, which is
+        # closed whatever the frame: it stays in the scan, and is no failure
+        code, out, _ = run(
+            capsys, "verify", "variants", "--r", str(r), "--n", str(n),
+            "--format", "json",
+        )
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert results["checks"] == r * r and results["failures"] == []
+        scan = results["details"]["scan"]
+        assert [(e["a"], e["b"]) for e in scan] == [
+            (a, b) for a in range(r) for b in range(r)
+        ]
+        assert [
+            (e["a"], e["b"]) for e in scan if e["closure"] != e["equals_standard"]
+        ] == one_class
 
     def test_bad_caps_are_usage_errors(self, capsys, monkeypatch):
         assert main(["enumerate", "--r", "2", "--n", "2", "--max-group-size", "0"]) == 1

@@ -1,13 +1,16 @@
 import functools
 import itertools
+import pickle
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from colored_descents.group import (
+    ColoredComposition,
     ColoredLetter,
     ColoredPermutation,
+    DescentProfile,
     GroupTable,
     SizeCapExceeded,
     compose,
@@ -375,6 +378,11 @@ def test_gather_returns_a_tuple_for_any_index_count(indices):
         assert _gather(indices)(seq) == tuple(seq[i] for i in indices)
 
 
+def _group_records():
+    pi = perm("2_1 1_0 3_2", 3)
+    return [pi, descent_profile(pi), mr_key(pi)]
+
+
 class TestValidation:
     def test_duplicate_value(self):
         with pytest.raises(ValueError):
@@ -386,3 +394,46 @@ class TestValidation:
     def test_color_out_of_range(self):
         with pytest.raises(ValueError):
             parse_one_line("1_2 2_0", 2)
+
+    def test_letters_are_normalised(self):
+        pi = ColoredPermutation(2, ((1, 2), (0, 1)))
+        assert all(type(x) is ColoredLetter for x in pi.letters)
+        assert pi == perm("2_1 1_0", 2)
+        with pytest.raises(ValueError, match="r must be at least 1"):
+            ColoredPermutation(0, ())
+
+    @pytest.mark.parametrize(
+        "record, name", zip(_group_records(), ["letters", "descent_set", "parts"])
+    )
+    def test_frozen(self, record, name):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+        with pytest.raises(AttributeError):
+            record.extra = 1
+
+    @pytest.mark.parametrize("record", _group_records(), ids=lambda x: type(x).__name__)
+    def test_pickle_round_trip(self, record):
+        clone = pickle.loads(pickle.dumps(record))
+        assert type(clone) is type(record)
+        assert clone == record and hash(clone) == hash(record)
+        assert vars(clone) == vars(record)
+
+    def test_equality_and_hash_read_the_fields(self):
+        pi, profile, composition = _group_records()
+        assert pi == ColoredPermutation(3, pi.letters)
+        assert hash(pi) == hash((3, pi.letters))
+        assert pi != ColoredPermutation(4, pi.letters)
+        assert pi != (3, pi.letters)  # a record never equals a plain tuple
+        assert profile == DescentProfile(frozenset({1, 3}), frozenset({1}))
+        assert hash(profile) == hash((frozenset({1, 3}), frozenset({1})))
+        assert composition == ColoredComposition(((1, 1), (1, 0), (1, 2)))
+        assert hash(composition) == hash((((1, 1), (1, 0), (1, 2)),))
+        assert len({pi, perm("2_1 1_0 3_2", 3)}) == 1
+
+    def test_repr_names_the_fields(self):
+        assert repr(identity(2, 1)) == (
+            "ColoredPermutation(r=2, letters=(ColoredLetter(color=0, value=1),))"
+        )
+        assert repr(ColoredComposition(((2, 0),))) == "ColoredComposition(parts=((2, 0),))"

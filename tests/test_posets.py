@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -19,6 +20,7 @@ from colored_descents.group import (
     word_str,
 )
 from colored_descents.posets import (
+    ColoredPoset,
     _anchored_extensions,
     _interleavings,
     _zero_letters,
@@ -163,6 +165,17 @@ class TestMakePoset:
     def test_illegal_letter_rejected(self):
         with pytest.raises(ValueError):
             make_poset(2, 2, [L(0, 3)], [])
+
+    def test_frozen_hashable_and_picklable(self, hasse_example):
+        nonzero = hasse_example.nonzero  # cached on the instance
+        with pytest.raises(AttributeError):
+            hasse_example.unsatisfiable = True
+        assert hash(hasse_example) == hash(
+            (4, 3, hasse_example.elements, hasse_example.less, False)
+        )
+        clone = pickle.loads(pickle.dumps(hasse_example))
+        assert clone == hasse_example and hash(clone) == hash(hasse_example)
+        assert clone.nonzero == nonzero and clone.unsatisfiable is False
 
 
 class TestLinearExtensions:
@@ -538,6 +551,16 @@ class TestUnsatisfiableBoundary:
     def test_one_color_chain_never_unsatisfiable(self):
         pi = parse_one_line("2_0 1_0", 1)
         assert not chain_poset({1, 2}, pi).unsatisfiable
+
+    def test_unsatisfiable_copy_keeps_the_order(self):
+        pi = parse_one_line("1_0 2_0", 1)
+        poset = zigzag_poset({2}, pi)
+        plain = make_poset(1, 2, pi.letters, [(L(0, 1), L(0, 2))])
+        assert colored_linear_extensions(plain) == [pi.letters]
+        assert poset != plain
+        assert poset == ColoredPoset(1, 2, plain.elements, plain.less, unsatisfiable=True)
+        assert poset.nonzero == plain.nonzero == pi.letters
+        assert pickle.loads(pickle.dumps(poset)) == poset
 
 
 class TestJson:

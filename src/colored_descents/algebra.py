@@ -68,8 +68,6 @@ class GroupAlgebraElement(_Record):
     never stored.  Instances are treated as immutable values.
     """
 
-    _fields = ("r", "n", "coeffs")
-
     def __init__(self, r: int, n: int, coeffs: dict[Word, Scalar]) -> None:
         coeffs = {w: c for w, c in coeffs.items() if c != 0}
         vars(self).update(r=r, n=n, coeffs=coeffs)
@@ -220,8 +218,6 @@ def _convolve(
 class ClassInfo(_Record):
     """One class: its members as ``GroupTable`` ranks, ascending."""
 
-    _fields = ("label", "ranks")
-
     def __init__(self, label: object, ranks: tuple[int, ...]) -> None:
         vars(self).update(label=label, ranks=ranks)
 
@@ -235,8 +231,6 @@ class ClassPartition(_Record):
 
     Blocks are nonempty and sorted by label.
     """
-
-    _fields = ("r", "n", "kind", "classes")
 
     def __init__(
         self, r: int, n: int, kind: str, classes: tuple[ClassInfo, ...]
@@ -341,8 +335,6 @@ def variant_partition(
 class SpanCheck(_Record):
     """Result of testing membership in the span of a partition's class sums."""
 
-    _fields = ("vector", "witness")
-
     def __init__(
         self,
         vector: Optional[tuple[Scalar, ...]],
@@ -372,8 +364,6 @@ def is_in_span(a: GroupAlgebraElement, partition: ClassPartition) -> SpanCheck:
 class ClosureFailure(_Record):
     """A product of the left and right classes' sums that leaves the span."""
 
-    _fields = ("left", "right", "witness")
-
     def __init__(
         self, left: int, right: int, witness: tuple[Word, Word, Scalar, Scalar]
     ) -> None:
@@ -400,8 +390,6 @@ class ClosureReport(_Record):
     pairs of group elements actually composed.  Equality and hashing read
     ``failures`` only.
     """
-
-    _fields = ("failures", "tensor", "products")
 
     def __init__(
         self,

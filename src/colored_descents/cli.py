@@ -16,7 +16,6 @@ import math
 import os
 import sys
 import time
-from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import __version__, schemas
@@ -113,12 +112,16 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _parse_j_range(text: str) -> list[int]:
+def _parse_j_range(text: str) -> tuple[int, int]:
+    """The inclusive bounds of ``--j``, a single value J or a range lo..hi."""
     lo, sep, hi = text.partition("..")
-    values = list(range(int(lo), int(hi) + 1)) if sep else [int(lo)]
-    if not values:
+    try:
+        bounds = int(lo), int(hi if sep else lo)
+    except ValueError:
+        raise UsageError(f"--j must be J or lo..hi, not {text!r}") from None
+    if bounds[0] > bounds[1]:
         raise UsageError(f"--j range {text} is empty")
-    return values
+    return bounds
 
 
 def _validate_common(args: argparse.Namespace) -> None:
@@ -126,7 +129,7 @@ def _validate_common(args: argparse.Namespace) -> None:
         raise UsageError("--max-group-size must be positive")
     if args.jobs < 1:
         raise UsageError("--jobs must be at least 1")
-    if args.k < 0 or any(j < 0 for j in _parse_j_range(args.j)):
+    if args.k < 0 or _parse_j_range(args.j)[0] < 0:
         raise UsageError("--j and --k must be nonnegative")
     if args.r is not None and args.r < 1:
         raise UsageError("--r must be at least 1")
@@ -277,9 +280,9 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    j_values = _parse_j_range(args.j)
+    lo, hi = _parse_j_range(args.j)
     # every suite checks j = 0..max, so a range must say so
-    if ".." in args.j and j_values[0] != 0:
+    if ".." in args.j and lo != 0:
         raise UsageError(
             f"verify checks j from 0: give --j as J or 0..J, not {args.j}"
         )
@@ -290,7 +293,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         n=args.n,
         seed=args.seed,
         cases=args.cases,
-        j_max=max(j_values),
+        j_max=hi,
         k_max=args.k,
         jobs=args.jobs,
         max_group_size=args.max_group_size,
@@ -327,61 +330,47 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if report.passed else EXIT_VERIFICATION
 
 
-def _idempotent_table_json(r: int, n: int) -> dict:
-    table = idempotent_class_table(r, n)
-    fractions = [table[i][d] for i in range(n + 1) for d in range(n + 1)]
-    common = math.lcm(*(f.denominator for f in fractions)) if fractions else 1
-    return {
-        "r": r,
-        "n": n,
-        "idempotents": [
-            {
-                "i": i,
-                "by_des_class": [
-                    {
-                        "des": d,
-                        "num": str(table[i][d].numerator),
-                        "den": str(table[i][d].denominator),
-                    }
-                    for d in range(n + 1)
-                ],
-            }
-            for i in range(n + 1)
-        ],
-        "common_denominator": str(common),
-    }
-
-
 def cmd_idempotents(args: argparse.Namespace) -> int:
     r = args.r if args.r is not None else 5
     n = args.n if args.n is not None else 3
-    table = _idempotent_table_json(r, n)
+    table = idempotent_class_table(r, n)
+    common = math.lcm(*(c.denominator for row in table for c in row))
     if args.format == "json":
-        schemas.validate(table, "idempotent_table")
-        _emit([_dump_json(table)], args.output)
+        record = {
+            "r": r,
+            "n": n,
+            "idempotents": [
+                {
+                    "i": i,
+                    "by_des_class": [
+                        {"des": d, "num": str(c.numerator), "den": str(c.denominator)}
+                        for d, c in enumerate(row)
+                    ],
+                }
+                for i, row in enumerate(table)
+            ],
+            "common_denominator": str(common),
+        }
+        schemas.validate(record, "idempotent_table")
+        _emit([_dump_json(record)], args.output)
     elif args.format == "csv":
         lines = [_csv_line(["i", "des", "coefficient"])]
-        for row in table["idempotents"]:
-            for cell in row["by_des_class"]:
-                lines.append(
-                    _csv_line(
-                        [row["i"], cell["des"], f"{cell['num']}/{cell['den']}"]
-                    )
-                )
+        for i, row in enumerate(table):
+            for d, c in enumerate(row):
+                lines.append(_csv_line([i, d, f"{c.numerator}/{c.denominator}"]))
         _emit(lines, args.output)
     else:
-        common = int(table["common_denominator"])
         lines = []
-        for row in table["idempotents"]:
+        for i, row in enumerate(table):
             text = ""
-            for cell in row["by_des_class"]:
-                scaled = Fraction(int(cell["num"]), int(cell["den"])) * common
+            for d, c in enumerate(row):
+                scaled = c * common
                 sign = "-" if scaled < 0 else "+"
-                term = f"{abs(scaled)} C_{cell['des']}"
+                term = f"{abs(scaled)} C_{d}"
                 text = f"{text} {sign} {term}" if text else (
                     term if sign == "+" else f"-{term}"
                 )
-            lines.append(f"c_{row['i']} = (1/{common})({text})\n")
+            lines.append(f"c_{i} = (1/{common})({text})\n")
         _emit(lines, args.output)
     return EXIT_OK
 
@@ -412,13 +401,14 @@ def cmd_order_poly(args: argparse.Namespace) -> int:
         raise UsageError("order-poly requires --pi")
     r = args.r if args.r is not None else 2
     pi = parse_one_line(args.pi, r)
+    lo, hi = _parse_j_range(args.j)
     records = [
         {
             "op": "order-poly",
             "params": {"r": r, "pi": str(pi), "j": j},
             "count": str(omega_pi(pi, j)),
         }
-        for j in _parse_j_range(args.j)
+        for j in range(lo, hi + 1)
     ]
     if args.format == "json":
         _emit(_json_array(records, "count_record"), args.output)

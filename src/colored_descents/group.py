@@ -60,15 +60,21 @@ class _Record:
     """Base of the package's immutable records, in place of a frozen
     dataclass, whose import alone costs every CLI process ~10 ms.
 
-    ``_fields`` names the attributes in constructor order; ``__init__``
-    stores them straight into ``vars(self)``, and equality, hashing and
-    the repr read them.  Assigning or deleting an attribute afterwards
-    raises AttributeError.  Instances keep their ``__dict__``, so
+    A subclass's ``_fields`` are its constructor's parameters, in order,
+    read off ``__init__`` when the class is made; ``__init__`` stores them
+    straight into ``vars(self)``, and equality, hashing and the repr read
+    them.  Assigning or deleting an attribute afterwards raises
+    AttributeError.  Instances keep their ``__dict__``, so
     ``cached_property`` works and default pickling restores them without
     calling ``__setattr__``.
     """
 
     _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1:code.co_argcount]
 
     def _key(self) -> tuple:
         return tuple(map(vars(self).__getitem__, self._fields))
@@ -94,8 +100,6 @@ class _Record:
 
 class ColoredPermutation(_Record):
     """An element of the r-colored permutation group in one-line notation."""
-
-    _fields = ("r", "letters")
 
     def __init__(self, r: int, letters: Word) -> None:
         if r < 1:
@@ -274,9 +278,10 @@ class GroupTable:
         self._colors = list(itertools.product(range(r), repeat=n))
         self._perm_index = {p: i for i, p in enumerate(self._perms)}
         self._color_index = {c: i for i, c in enumerate(self._colors)}
-        self._value_rows: dict[int, list[int]] = {}
-        self._shift_rows: dict[int, list[int]] = {}
-        self._sum_gathers: dict[int, Callable] = {}
+        # each row is built on first use, once
+        self._value_row = functools.cache(self._value_row)
+        self._shift_row = functools.cache(self._shift_row)
+        self._sum_gather = functools.cache(self._sum_gather)
 
     def __len__(self) -> int:
         return len(self._perms) * len(self._colors)
@@ -308,37 +313,22 @@ class GroupTable:
 
     def _value_row(self, p: int) -> list[int]:
         """Index of the value permutation p∘q, for every q."""
-        row = self._value_rows.get(p)
-        if row is None:
-            sigma = self._perms[p]
-            row = self._value_rows[p] = [
-                self._perm_index[tuple(sigma[v - 1] for v in q)] for q in self._perms
-            ]
-        return row
+        sigma = self._perms[p]
+        return [self._perm_index[tuple(sigma[v - 1] for v in q)] for q in self._perms]
 
     def _shift_row(self, c: int) -> list[int]:
         """Index of color vector c permuted by q, for every q."""
-        row = self._shift_rows.get(c)
-        if row is None:
-            colors = self._colors[c]
-            row = self._shift_rows[c] = [
-                self._color_index[tuple(colors[v - 1] for v in q)]
-                for q in self._perms
-            ]
-        return row
+        colors = self._colors[c]
+        return [self._color_index[tuple(colors[v - 1] for v in q)] for q in self._perms]
 
     def _sum_gather(self, c: int) -> Callable[[Sequence], tuple]:
         """Gathers ``block[i]``, i being the index of color vector c + d
         mod r, for every d."""
-        gather = self._sum_gathers.get(c)
-        if gather is None:
-            colors, r = self._colors[c], self.r
-            row = [
-                self._color_index[tuple((a + b) % r for a, b in zip(colors, d))]
-                for d in self._colors
-            ]
-            gather = self._sum_gathers[c] = _gather(row)
-        return gather
+        colors, r = self._colors[c], self.r
+        return _gather([
+            self._color_index[tuple((a + b) % r for a, b in zip(colors, d))]
+            for d in self._colors
+        ])
 
 
 @functools.lru_cache(maxsize=8)
@@ -367,15 +357,8 @@ def word_des(word: Word) -> int:
     return sum(_descent_flags(word))
 
 
-def word_intdes(word: Word) -> int:
-    """Descents at positions 1..n-1 only."""
-    return sum(map(gt, word, word[1:]))
-
-
 class DescentProfile(_Record):
     """Descent set of a word together with its internal restriction."""
-
-    _fields = ("descent_set", "internal_descent_set")
 
     def __init__(
         self, descent_set: frozenset[int], internal_descent_set: frozenset[int]
@@ -400,8 +383,6 @@ def descent_profile(pi: ColoredPermutation) -> DescentProfile:
 
 class ColoredComposition(_Record):
     """Lengths and colors of the maximal increasing monochromatic runs."""
-
-    _fields = ("parts",)
 
     def __init__(self, parts: tuple[tuple[int, int], ...]) -> None:
         vars(self).update(parts=parts)

@@ -41,8 +41,6 @@ class ColoredPoset(_Record):
     such a poset has no linear extensions.
     """
 
-    _fields = ("r", "n", "elements", "less", "unsatisfiable")
-
     def __init__(
         self,
         r: int,

@@ -23,7 +23,6 @@ import math
 import random
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from operator import gt
 from typing import Optional
 
 from .group import (
@@ -33,8 +32,8 @@ from .group import (
     SizeCapExceeded,
     Word,
     _word_stats,
+    descent_positions,
     word_des,
-    word_intdes,
 )
 from .posets import (
     ColoredPoset,
@@ -167,7 +166,7 @@ def omega_Ppi(pi: ColoredPermutation, j: int) -> int:
     if j < 0:
         raise ValueError("j must be nonnegative")
     n = pi.n
-    return binom(pi.r * j + n - word_intdes(pi.letters), n)
+    return binom(pi.r * j + n - len(descent_positions(pi.letters) - {n}), n)
 
 
 def descent_counts(
@@ -223,7 +222,8 @@ def _compartment_shapes(pi: ColoredPermutation, k: int) -> Counter:
     (length, intdes) of the nonempty others."""
     n, letters = pi.n, pi.letters
     # internal[i]: descents between consecutive letters among the first i+1
-    internal = [0, *itertools.accumulate(map(gt, letters, letters[1:]))]
+    descents = descent_positions(letters)
+    internal = list(itertools.accumulate((i in descents for i in range(1, n)), initial=0))
     shapes: Counter = Counter()
     # a placement is a multiset of k positions in 0..n, a bar at i standing
     # after the first i letters; I is the set of its positions i >= 1, so

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -411,6 +412,25 @@ class TestArtifacts:
             capsys, "order-poly", "--pi", "2_1 1_1", "--r", "2", "--j", "2"
         )
         assert out.strip() == "[1]"
+
+    @pytest.mark.parametrize("command", [["enumerate"], ["verify", "closure-des"]])
+    def test_j_range_is_read_by_its_bounds(self, capsys, command):
+        # validation and verify read only the bounds, so a wide range costs
+        # no memory; a list of 2·10⁶ ints would take about 80 MB
+        tracemalloc.start()
+        try:
+            code = main([*command, "--r", "1", "--n", "1", "--j", "0..2000000"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert code == 0 and peak < 5 * 2**20, peak
+
+    @pytest.mark.parametrize("j", ["abc", "0..", "..3", "0..x", "1..2..3"])
+    def test_malformed_j_is_a_usage_error_naming_the_flag(self, capsys, j):
+        for command in (["enumerate"], ["verify", "phi"], ["order-poly", "--pi", "1_0"]):
+            code, _, err = run(capsys, *command, "--j", j)
+            assert code == 1 and "--j" in err and repr(j) in err, (command, err)
 
     def test_output_file(self, tmp_path, capsys):
         target = tmp_path / "table.json"

@@ -12,9 +12,11 @@ from colored_descents.group import (
     ColoredPermutation,
     SizeCapExceeded,
     Word,
+    _compose_words,
     compose,
     descent_positions,
     enumerate_group,
+    identity,
     inverse,
     parse_one_line,
     word_str,
@@ -483,9 +485,9 @@ class TestAnchoredTemplates:
         yield
         posets._anchored_templates.cache_clear()
 
-    @pytest.mark.parametrize(
-        "r, n", [(1, 1), (1, 4), (2, 0), (2, 3), (3, 2), (3, 3), (4, 2)]
-    )
+    GROUPS = [(1, 1), (1, 4), (2, 0), (2, 3), (3, 2), (3, 3), (4, 2)]
+
+    @pytest.mark.parametrize("r, n", GROUPS)
     def test_match_the_generic_route(self, r, n):
         for pi in enumerate_group(r, n):
             for I in index_sets(n):
@@ -493,6 +495,20 @@ class TestAnchoredTemplates:
                     got = _anchored_extensions(I, pi, reverse)
                     want = colored_linear_extensions(make(I, pi))
                     assert Counter(got) == Counter(want), (str(pi), sorted(I), reverse)
+
+    @pytest.mark.parametrize("r, n", GROUPS)
+    def test_generic_route_is_pi_times_the_identity_route(self, r, n):
+        # Ext(pi, I) = pi·Ext(e, I) as multisets, so sigma^-1·pi runs over
+        # the inverses of Ext(e, I) whatever pi is: a lemma's check at
+        # (pi, I) is its check at (e, I)
+        e = identity(r, n)
+        for I in index_sets(n):
+            for reverse, make in self.MAKE.items():
+                at_e = colored_linear_extensions(make(I, e))
+                for pi in enumerate_group(r, n):
+                    want = Counter(_compose_words(r, pi.letters, t) for t in at_e)
+                    got = Counter(colored_linear_extensions(make(I, pi)))
+                    assert got == want, (str(pi), sorted(I), reverse)
 
     def test_unsatisfiable_anchor_and_empty_group(self):
         pi = parse_one_line("1_0 2_0", 1)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 import random
 
 import pytest
@@ -16,7 +17,6 @@ from colored_descents.group import (
     identity,
     parse_one_line,
     word_des,
-    word_intdes,
 )
 from colored_descents.posets import (
     ColoredPoset,
@@ -418,7 +418,8 @@ class TestBarredChain:
                 product = omega_word(tuple(comps[-1]), j)
                 for comp in comps[:-1]:
                     m = len(comp)
-                    product *= binom(r * j + m - word_intdes(tuple(comp)), m)
+                    intdes = sum(map(operator.gt, comp, comp[1:]))
+                    product *= binom(r * j + m - intdes, m)
                 total += product
             return total
 

@@ -10,6 +10,8 @@ import colored_descents.algebra
 from colored_descents import posets, verify
 from colored_descents.algebra import (
     ClassPartition,
+    ClosureFailure,
+    ClosureReport,
     algebra_multiply,
     des_partition,
     partition_by,
@@ -86,6 +88,27 @@ def test_phi_names_its_first_failing_pair(monkeypatch):
     report = run_suite("phi", r=2, n=2)
     assert report.checks == 9 and not report.passed
     assert report.failures == [{"r": 2, "n": 2, "x": 1, "y": 2}]
+
+
+@pytest.mark.parametrize("suite", ["phi", "idempotents"])
+def test_an_unclosed_group_is_recorded_and_the_next_still_checked(
+    monkeypatch, capsys, suite
+):
+    # G(2, 3) fails its closure check: the suite records that group alone,
+    # makes no check on it, and goes on to G(3, 3) and G(5, 3)
+    def unclosed_at_2_3(partition):
+        if (partition.r, partition.n) == (2, 3):
+            return ClosureReport((ClosureFailure(1, 1, ((), (), 0, 1)),))
+        return verify_closure(partition)
+
+    closed = {(r, n): run_suite(suite, r=r, n=n).checks for r, n in IDEMPOTENT_GROUPS}
+    monkeypatch.setattr(verify, "verify_closure", unclosed_at_2_3)
+    report = run_suite(suite)
+    assert report.failures == [{"r": 2, "n": 3, "closure": False}]
+    assert report.checks == sum(closed.values()) - closed[2, 3]
+    assert main(["verify", suite, "--j", "2", "--format", "json"]) == 3
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["failures"] == report.failures and results["checks"] == report.checks
 
 
 def test_closed_partition_checks_make_no_word(monkeypatch):

@@ -546,19 +546,29 @@ def idempotent_class_table(r: int, n: int) -> list[list[Fraction]]:
     """alpha[i][d]: coefficient of x^i in C((x-1)/r + n - d, n).
 
     r^n n! C((x-1)/r + n - d, n) is the integer polynomial
-    prod_{m<n} (x - 1 + r(n - d - m)), so each column is one integer
-    product, divided by r^n n! only at the end.
+    P_d = prod_{u=1-d..n-d} (x - 1 + r u).  P_0 is one product, and
+    P_{d+1} = P_d (x - 1 - r d) / (x - 1 + r(n - d)), one exact synthetic
+    division; the table is divided by r^n n! only at the end.
     """
     if r < 1 or n < 0:
         raise ValueError("need r >= 1 and n >= 0")
+
+    def times(poly: list[int], c: int) -> list[int]:  # poly (x + c), constant first
+        return [c * a + b for a, b in zip(poly + [0], [0] + poly)]
+
+    column = [1]
+    for u in range(1, n + 1):
+        column = times(column, r * u - 1)
+    columns = [column]
+    for d in range(n):
+        product = times(column, -1 - r * d)
+        e = r * (n - d) - 1  # product = (x + e) column, solved top coefficient first
+        column, carry = [0] * (n + 1), 0
+        for i in range(n, -1, -1):
+            carry = column[i] = product[i + 1] - e * carry
+        assert product[0] == e * carry, "synthetic division left a remainder"
+        columns.append(column)
     scale = r**n * math.factorial(n)
-    columns = []
-    for d in range(n + 1):
-        poly = [1]  # coefficients, constant term first
-        for m in range(n):
-            c = r * (n - d - m) - 1
-            poly = [c * a + b for a, b in zip(poly + [0], [0] + poly)]
-        columns.append(poly)
     return [[Fraction(column[i], scale) for column in columns] for i in range(n + 1)]
 
 

@@ -6,7 +6,6 @@ referenced from the README.
 from __future__ import annotations
 
 import functools
-import math
 import re
 from typing import Callable, NoReturn
 
@@ -164,83 +163,77 @@ _TYPES = {
 _EXACT = {"object": dict, "array": list, "string": str, "number": int, "integer": int}
 
 
-class _Failure(Exception):
-    """A failed keyword.  Each level it unwinds through adds its step to
-    ``path``, innermost first, so a path is built only for a failure."""
-
-    def __init__(self, keyword: str, value: object) -> None:
-        super().__init__(keyword)
-        self.keyword, self.value, self.path = keyword, value, []
+def _fail(failed: tuple, steps: tuple) -> NoReturn:
+    """Raise for a failed (keyword, value) at steps, each an object key or
+    an (item, list) pair.  The item's index is the first position holding
+    that very object: earlier items passed, so it is the failing one."""
+    path = "$"
+    for step in steps:
+        if type(step) is tuple:
+            item, items = step
+            path += f"[{next(i for i, x in enumerate(items) if x is item)}]"
+        else:
+            path += f".{step}"
+    keyword, value = failed
+    raise SchemaError(f"{path}: fails {keyword} {value!r}")
 
 
 def _compile(schema: dict) -> Callable[[object], None]:
     """A checker for schema, with the Draft 2020-12 semantics of the eight
     keywords the schemas use, each applied only to instances of its own
-    type.  Subschemas, patterns and keyword values are read once, here, and
-    a typed schema checks only its own type's keywords.  The one untyped
-    schema is ``{}``, which accepts anything; any other raises KeyError."""
+    type: one generated function, a straight-line test per keyword and a
+    plain loop per array level.  Keys enter its source through repr() and
+    every other schema value through its globals.  The one untyped schema
+    is ``{}``, which accepts anything; any other raises KeyError."""
     if schema == {}:
         return lambda obj: None
-    required = tuple(schema.get("required", ()))
-    properties = tuple(
-        (key, _compile(sub)) for key, sub in schema.get("properties", {}).items()
-    )
-    min_items = schema.get("minItems", 0)
-    max_items = schema.get("maxItems", math.inf)
-    items = _compile(schema["items"]) if "items" in schema else None
-    pattern = re.compile(schema["pattern"]).search if "pattern" in schema else None
-    minimum = schema.get("minimum")
+    env: dict = {"_fail": _fail}
+    lines = ["def check(v0):"]
 
-    def fail(keyword: str) -> NoReturn:
-        raise _Failure(keyword, schema[keyword])
+    def const(value: object) -> str:
+        name = f"k{len(env)}"
+        env[name] = value
+        return name
 
-    def on_object(obj: dict) -> None:
-        for key in required:
-            if key not in obj:
-                fail("required")
-        for key, sub in properties:
-            if key in obj:
-                try:
-                    sub(obj[key])
-                except _Failure as exc:
-                    exc.path.append(f".{key}")
-                    raise
+    def emit(sub: dict, depth: int, steps: str, pad: str) -> None:
+        v, w = f"v{depth}", f"v{depth + 1}"
 
-    def on_array(obj: list) -> None:
-        if len(obj) < min_items:
-            fail("minItems")
-        if len(obj) > max_items:
-            fail("maxItems")
-        if items is not None:
-            i = 0
-            try:
-                for i, item in enumerate(obj):
-                    items(item)
-            except _Failure as exc:
-                exc.path.append(f"[{i}]")
-                raise
+        def test(condition: str, keyword: str) -> None:
+            failed = const((keyword, sub[keyword]))
+            lines.append(f"{pad}if {condition}: _fail({failed}, ({steps}))")
 
-    def on_string(obj: str) -> None:
-        if pattern is not None and not pattern(obj):
-            fail("pattern")
+        kind = sub["type"]
+        test(f"type({v}) is not {const(_EXACT[kind])} and not {const(_TYPES[kind])}({v})",
+             "type")
+        if kind == "object":
+            required = sub.get("required", ())
+            if required:
+                test(" or ".join(f"{key!r} not in {v}" for key in required), "required")
+            for key, prop in sub.get("properties", {}).items():
+                if prop == {}:
+                    continue
+                inner = pad
+                if key not in required:
+                    lines.append(f"{pad}if {key!r} in {v}:")
+                    inner += " "
+                lines.append(f"{inner}{w} = {v}[{key!r}]")
+                emit(prop, depth + 1, f"{steps}{key!r}, ", inner)
+        elif kind == "array":
+            for keyword, op in (("minItems", "<"), ("maxItems", ">")):
+                if keyword in sub:
+                    test(f"len({v}) {op} {const(sub[keyword])}", keyword)
+            if sub.get("items", {}) != {}:
+                lines.append(f"{pad}for {w} in {v}:")
+                emit(sub["items"], depth + 1, f"{steps}({w}, {v}), ", pad + " ")
+        elif kind == "string":
+            if "pattern" in sub:
+                test(f"not {const(re.compile(sub['pattern']).search)}({v})", "pattern")
+        elif "minimum" in sub:
+            test(f"{v} < {const(sub['minimum'])}", "minimum")
 
-    def on_number(obj: float) -> None:
-        if minimum is not None and obj < minimum:
-            fail("minimum")
-
-    kind = schema["type"]
-    is_type = _TYPES[kind]
-    exact = _EXACT[kind]
-    on_type = {"object": on_object, "array": on_array, "string": on_string}.get(
-        kind, on_number
-    )
-
-    def check_typed(obj: object) -> None:
-        if type(obj) is not exact and not is_type(obj):
-            fail("type")
-        on_type(obj)
-
-    return check_typed
+    emit(schema, 0, "", " ")
+    exec("\n".join(lines), env)
+    return env["check"]
 
 
 @functools.cache
@@ -249,11 +242,6 @@ def _checker(schema_name: str) -> Callable[[object], None]:
 
 
 def validate(obj: object, schema_name: str) -> None:
-    """Check obj before it is written; raises SchemaError.  Each schema is
-    compiled on its first use."""
-    check = _checker(schema_name)
-    try:
-        check(obj)
-    except _Failure as exc:
-        path = "$" + "".join(reversed(exc.path))
-        raise SchemaError(f"{path}: fails {exc.keyword} {exc.value!r}") from None
+    """Check obj before it is written; raises SchemaError naming the JSON
+    path and the keyword.  Each schema is compiled on its first use."""
+    _checker(schema_name)(obj)

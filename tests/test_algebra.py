@@ -1,3 +1,4 @@
+import math
 import pickle
 from collections import Counter
 from fractions import Fraction
@@ -566,6 +567,24 @@ class TestIdempotents:
                         assert value == rational_binom(
                             Fraction(x - 1, r) + n - d, n
                         ), (r, n, d, x)
+
+    @pytest.mark.parametrize("r, n", [
+        (1, 0), (3, 0), (1, 1), (1, 4), (2, 3), (3, 3), (5, 3), (4, 6), (2, 10), (5, 20),
+    ])
+    def test_column_recurrence_matches_the_product(self, r, n):
+        # oracle: each column r^n n! C((x-1)/r + n - d, n) as its own product
+        # prod_{m<n} (x - 1 + r(n - d - m)), with no division
+        scale = r**n * math.factorial(n)
+        columns = []
+        for d in range(n + 1):
+            poly = [1]
+            for m in range(n):
+                c = r * (n - d - m) - 1
+                poly = [c * a + b for a, b in zip(poly + [0], [0] + poly)]
+            columns.append(poly)
+        assert idempotent_class_table(r, n) == [
+            [Fraction(column[i], scale) for column in columns] for i in range(n + 1)
+        ]
 
     def test_top_idempotent_is_uniform_average(self):
         for r, n in [(1, 3), (2, 2), (5, 3)]:

@@ -50,6 +50,22 @@ class TestEnumerate:
             main(["enumerate", "--r", "2", "--n", "2", "--format", "json"])
         assert capsys.readouterr().out == ""
 
+    def test_json_validates_once_per_record(self, capsys, monkeypatch):
+        # one schemas.validate call per record, none batched or skipped
+        calls = []
+        validate = schemas.validate
+
+        def counted(obj, schema_name):
+            calls.append(schema_name)
+            validate(obj, schema_name)
+
+        monkeypatch.setattr(schemas, "validate", counted)
+        code, out, _ = run(
+            capsys, "enumerate", "--r", "2", "--n", "3", "--format", "json"
+        )
+        assert code == 0 and len(json.loads(out)) == 48
+        assert calls == ["enumerate_record"] * 48
+
     def test_csv_header(self, capsys):
         code, out, _ = run(
             capsys, "enumerate", "--r", "2", "--n", "2", "--format", "csv"

@@ -140,6 +140,41 @@ def test_each_keyword_rejects(name, doc, message):
     assert str(info.value).startswith(message)
 
 
+BAD_LETTER = [1, -1]
+
+
+@pytest.mark.parametrize("name, doc, message", [
+    # True == 1, but the failing item is the one that is True itself
+    ("enumerate_record", {**RECORD, "descent_set": [1, True]},
+     "$.descent_set[1]: fails type 'integer'"),
+    # the same bad object twice fails first, and is reported, at [0]
+    ("enumerate_record",
+     {**RECORD, "permutation": {"r": 2, "n": 2, "letters": [BAD_LETTER, BAD_LETTER]}},
+     "$.permutation.letters[0][1]: fails minimum 0"),
+    ("enumerate_record",
+     {**RECORD, "permutation": {"r": 2, "n": 2, "letters": [[1, 0], BAD_LETTER, BAD_LETTER]}},
+     "$.permutation.letters[1][1]: fails minimum 0"),
+])
+def test_path_names_the_failing_item_by_identity(name, doc, message):
+    with pytest.raises(SchemaError) as info:
+        schemas.validate(doc, name)
+    assert str(info.value) == message
+
+
+def test_keys_and_patterns_are_not_source_text():
+    # a key or pattern that would break, or inject into, generated source
+    key = "it's \"x\"'] or _fail(0, 0) or v0['"
+    schema = {"type": "object", "required": [key],
+              "properties": {key: {"type": "string", "pattern": "^'\"$"}}}
+    check = schemas._compile(schema)
+    assert check({key: "'\""}) is None
+    with pytest.raises(SchemaError) as info:
+        check({key: "x"})
+    assert str(info.value) == f"$.{key}: fails pattern {schema['properties'][key]['pattern']!r}"
+    with pytest.raises(SchemaError, match=r"^\$: fails required"):
+        check({})
+
+
 def test_integral_float_is_an_integer():
     schemas.validate({**TABLE, "r": 2.0}, "idempotent_table")
 

@@ -9,7 +9,6 @@ duration; everything except the duration is byte-stable across runs.
 from __future__ import annotations
 
 import argparse
-import functools
 import itertools
 import json
 import math
@@ -30,9 +29,6 @@ from .group import (
     descent_positions,
     parse_one_line,
 )
-from .algebra import idempotent_class_table
-from .ppartitions import eulerian_polynomial, omega_pi
-from .verify import SUITE_NAMES, run_suite
 
 ENV_PREFIX = "COLORED_DESCENTS_"
 
@@ -96,7 +92,7 @@ def build_parser() -> _Parser:
     _add_common(p)
 
     p = sub.add_parser("verify", help="run a named verification suite")
-    p.add_argument("suite", choices=SUITE_NAMES)
+    p.add_argument("suite")  # run_suite names the suites when it refuses one
     _add_common(p)
 
     p = sub.add_parser("idempotents", help="emit the orthogonal idempotent table")
@@ -163,59 +159,30 @@ def _dump_json(obj: object) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _render_record(record: dict) -> str:
-    """A record as ``_dump_json`` writes it, indented one level into an array."""
-    return json.dumps(record, indent=2, sort_keys=True).replace("\n", "\n  ")
+def _json_ints(nest, spaces: int) -> str:
+    """``json.dumps(nest, indent=2)`` of a list of ints or a nest of such
+    lists (tuples render as lists), as it stands ``spaces`` deep in a
+    document."""
+    if not nest:
+        return "[]"
+    inner = "\n" + " " * (spaces + 2)
+    if type(nest[0]) is int:
+        items = map(str, nest)
+    else:
+        items = [_json_ints(item, spaces + 2) for item in nest]
+    return f"[{inner}{(',' + inner).join(items)}\n{' ' * spaces}]"
 
 
-def _json_array(
-    records: Iterable[dict],
-    schema_name: str,
-    render: Callable[[dict], str] = _render_record,
-) -> Iterator[str]:
-    """``_dump_json(list(records))`` in chunks, one record at a time, each
-    validated before it is yielded."""
+def _json_array(rows: Iterable[tuple[dict, str]], schema_name: str) -> Iterator[str]:
+    """``_dump_json`` of the records in chunks, from (record, text) rows
+    whose text is the record as ``_dump_json`` writes it, indented one level
+    into an array; each record is validated before its text is yielded."""
     sep = "[\n  "
-    for record in records:
+    for record, text in rows:
         schemas.validate(record, schema_name)
-        yield sep + render(record)
+        yield sep + text
         sep = ",\n  "
     yield "[]\n" if sep == "[\n  " else "\n]\n"
-
-
-def _enumerate_renderer() -> Callable[[dict], str]:
-    """``_render_record`` for enumerate records, put together from fragments.
-
-    Each distinct letter, descent set and run composition is rendered once,
-    by ``json.dumps`` at its depth in the array, and memoised; a tuple key
-    renders as the list it stands for.  The records hold only ints, as
-    ``cmd_enumerate`` builds them, so equal keys render alike.
-    """
-
-    def at_depth(spaces: int) -> Callable[[tuple], str]:
-        indent = "\n" + " " * spaces
-        return functools.cache(
-            lambda key: json.dumps(key, indent=2).replace("\n", indent)
-        )
-
-    letters, descent_sets, mr_keys = at_depth(8), at_depth(4), at_depth(4)
-
-    def render(record: dict) -> str:
-        perm = record["permutation"]
-        block = ",\n        ".join([letters(tuple(x)) for x in perm["letters"]])
-        return (
-            f'{{\n    "des": {record["des"]},'
-            f'\n    "descent_set": {descent_sets(tuple(record["descent_set"]))},'
-            f'\n    "intdes": {record["intdes"]},'
-            f'\n    "mr_key": {mr_keys(tuple(map(tuple, record["mr_key"])))},'
-            f'\n    "permutation": {{\n      "letters": '
-            + (f"[\n        {block}\n      ]" if block else "[]")
-            + f',\n      "n": {perm["n"]},\n      "r": {perm["r"]}\n    }},'
-            f'\n    "rank": {record["rank"]},'
-            f'\n    "word": {json.dumps(record["word"])}\n  }}'
-        )
-
-    return render
 
 
 def _csv_line(fields: Sequence[object]) -> str:
@@ -233,13 +200,24 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     n = args.n if args.n is not None else 2
     fmt = args.format
 
+    # a JSON record's letters array opens at the end of its row's head and
+    # closes at the start of the tail that every record shares
+    opener, closer = ("[\n        ", "\n      ]") if n else ("[]", "")
+    tail = f'{closer},\n      "n": {n},\n      "r": {r}\n    }},\n    "rank": '
+
     def stat(w: Word):
         """The record fields of w other than its rank and letters; des and
-        intdes are read off the one descent set, intdes dropping position n."""
+        intdes are read off the one descent set, intdes dropping position n.
+        In JSON they come with the record's text up to its first letter."""
         dset = descent_positions(w)
         des, intdes, parts = len(dset), len(dset) - (n in dset), _run_parts(w)
         if fmt == "json":
-            return sorted(dset), des, intdes, [list(part) for part in parts]
+            dlist, key = sorted(dset), [list(part) for part in parts]
+            return dlist, des, intdes, key, (
+                f'{{\n    "des": {des},\n    "descent_set": {_json_ints(dlist, 4)},'
+                f'\n    "intdes": {intdes},\n    "mr_key": {_json_ints(key, 4)},'
+                f'\n    "permutation": {{\n      "letters": {opener}'
+            )
         if fmt == "csv":
             return (f",{' '.join(map(str, sorted(dset)))},{des},{intdes},"
                     f"{ColoredComposition(parts)}\n")
@@ -253,21 +231,26 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     rows = zip(itertools.count(), map(" ".join, walk("{}_{}".format)),
                _word_stats(r, n, stat, args.max_group_size))
     if fmt == "json":
+        join = ",\n        ".join
+        # a word is digits, "_" and spaces, so it needs no JSON escaping
         records = (
-            {
-                "rank": rank,
-                "word": text,
-                "permutation": _permutation_block(r, n, list(letters)),
-                "descent_set": dset,
-                "des": des,
-                "intdes": intdes,
-                "mr_key": mr_key,
-            }
-            for (rank, text, (dset, des, intdes, mr_key)), letters
-            in zip(rows, walk(lambda v, c: [v, c]))
+            (
+                {
+                    "rank": rank,
+                    "word": text,
+                    "permutation": _permutation_block(r, n, list(letters)),
+                    "descent_set": dset,
+                    "des": des,
+                    "intdes": intdes,
+                    "mr_key": mr_key,
+                },
+                f'{head}{join(frags)}{tail}{rank},\n    "word": "{text}"\n  }}',
+            )
+            for (rank, text, (dset, des, intdes, mr_key, head)), letters, frags in zip(
+                rows, walk(lambda v, c: [v, c]), walk(lambda v, c: _json_ints((v, c), 8))
+            )
         )
-        _emit(_json_array(records, "enumerate_record", _enumerate_renderer()),
-              args.output)
+        _emit(_json_array(records, "enumerate_record"), args.output)
     elif fmt == "csv":
         header = ["rank", "word", "descent_set", "des", "intdes", "mr_key"]
         _emit(itertools.chain([_csv_line(header)], (
@@ -280,6 +263,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import run_suite  # loads every layer, so only verify pays for it
     lo, hi = _parse_j_range(args.j)
     # every suite checks j = 0..max, so a range must say so
     if ".." in args.j and lo != 0:
@@ -330,7 +314,27 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if report.passed else EXIT_VERIFICATION
 
 
+def _idempotent_chunks(record: dict) -> Iterator[str]:
+    """``_dump_json(record)`` of an idempotent table, one chunk per row.  A
+    table has n + 1 rows of n + 1 classes, so no array in it is empty, and
+    its strings are decimals, which need no escaping."""
+    yield (f'{{\n  "common_denominator": "{record["common_denominator"]}",'
+           f'\n  "idempotents": [\n    ')
+    sep = ""
+    for row in record["idempotents"]:
+        classes = ",\n        ".join([
+            f'{{\n          "den": "{c["den"]}",\n          "des": {c["des"]},'
+            f'\n          "num": "{c["num"]}"\n        }}'
+            for c in row["by_des_class"]
+        ])
+        yield (f'{sep}{{\n      "by_des_class": [\n        {classes}\n      ],'
+               f'\n      "i": {row["i"]}\n    }}')
+        sep = ",\n    "
+    yield f'\n  ],\n  "n": {record["n"]},\n  "r": {record["r"]}\n}}\n'
+
+
 def cmd_idempotents(args: argparse.Namespace) -> int:
+    from .algebra import idempotent_class_table
     r = args.r if args.r is not None else 5
     n = args.n if args.n is not None else 3
     table = idempotent_class_table(r, n)
@@ -352,7 +356,7 @@ def cmd_idempotents(args: argparse.Namespace) -> int:
             "common_denominator": str(common),
         }
         schemas.validate(record, "idempotent_table")
-        _emit([_dump_json(record)], args.output)
+        _emit(_idempotent_chunks(record), args.output)
     elif args.format == "csv":
         lines = [_csv_line(["i", "des", "coefficient"])]
         for i, row in enumerate(table):
@@ -376,6 +380,7 @@ def cmd_idempotents(args: argparse.Namespace) -> int:
 
 
 def cmd_eulerian_poly(args: argparse.Namespace) -> int:
+    from .ppartitions import eulerian_polynomial
     r = args.r if args.r is not None else 2
     n = args.n if args.n is not None else 2
     coeffs = eulerian_polynomial(r, n)
@@ -397,6 +402,7 @@ def cmd_eulerian_poly(args: argparse.Namespace) -> int:
 
 
 def cmd_order_poly(args: argparse.Namespace) -> int:
+    from .ppartitions import omega_pi
     if not args.pi:
         raise UsageError("order-poly requires --pi")
     r = args.r if args.r is not None else 2
@@ -411,7 +417,9 @@ def cmd_order_poly(args: argparse.Namespace) -> int:
         for j in range(lo, hi + 1)
     ]
     if args.format == "json":
-        _emit(_json_array(records, "count_record"), args.output)
+        texts = (json.dumps(rec, indent=2, sort_keys=True).replace("\n", "\n  ")
+                 for rec in records)
+        _emit(_json_array(zip(records, texts), "count_record"), args.output)
     elif args.format == "csv":
         lines = [_csv_line(["j", "count"])]
         lines.extend(

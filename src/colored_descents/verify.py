@@ -258,15 +258,17 @@ def suite_order_poly(
 # The quotient side of zigzag, chain and barred, read off table rows.
 
 @lru_cache(maxsize=2)
-def _quotient_side(r: int, n: int) -> tuple[list, list, list, Callable]:
-    """The words of G(r, n) in rank order, their descent sets and descent
-    numbers, and a gather of ``left_row(rank pi)`` that reads, for every
-    rank tau, the rank of sigma = pi tau^-1; then sigma^-1 pi = tau."""
-    table = group_table(r, n)
+def _quotient_side(r: int, n: int) -> tuple[list, dict, list, tuple, list, Callable]:
+    """The words of G(r, n) in rank order and the rank of each word; the
+    descent sets of the words and of their inverses, and their descent
+    numbers, by rank; and a gather of ``left_row(rank pi)`` that reads, for
+    every rank tau, the rank of sigma = pi tau^-1; then sigma^-1 pi = tau."""
     words = list(group_words(r, n))
-    inv = [table.rank(_inverse_word(r, w)) for w in words]
+    rank_of = dict(zip(words, itertools.count()))
+    quotient_ranks = _gather([rank_of[_inverse_word(r, w)] for w in words])
     dsets = [descent_positions(w) for w in words]
-    return words, dsets, list(map(len, dsets)), _gather(inv)
+    return (words, rank_of, dsets, quotient_ranks(dsets), list(map(len, dsets)),
+            quotient_ranks)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +278,7 @@ def _quotient_side(r: int, n: int) -> tuple[list, list, list, Callable]:
 def _class_union_sizes(r: int, n: int, matches) -> dict[frozenset, int]:
     """Each I within [n], by size, with how many words w have matches(Des w, I)."""
     return {
-        I: sum(matches(D, I) for D in _quotient_side(r, n)[1])
+        I: sum(matches(D, I) for D in _quotient_side(r, n)[2])
         for size in range(n + 1)
         for I in map(frozenset, itertools.combinations(range(1, n + 1), size))
     }
@@ -285,10 +287,10 @@ def _class_union_sizes(r: int, n: int, matches) -> dict[frozenset, int]:
 def _lemma_case(pi: ColoredPermutation, mode: str) -> dict:
     # zigzag extensions have quotient descent set exactly I, chain ones within I
     matches = frozenset.__eq__ if mode == "zigzag" else frozenset.__le__
-    words, labels, _, quotient_ranks = _quotient_side(pi.r, pi.n)
-    table = group_table(pi.r, pi.n)
-    row = table.left_row(table.rank(pi.letters))
-    label_of = dict(zip(map(words.__getitem__, quotient_ranks(row)), labels))
+    words, rank_of, _, inverse_labels, _, _ = _quotient_side(pi.r, pi.n)
+    # Des(sigma^-1 pi) = Des((pi^-1 sigma)^-1), for every sigma by rank
+    row = group_table(pi.r, pi.n).left_row(rank_of[_inverse_word(pi.r, pi.letters)])
+    labels = _gather(row)(inverse_labels)
     extensions = 0
     failures = []
     for I, want_size in _class_union_sizes(pi.r, pi.n, matches).items():
@@ -296,14 +298,14 @@ def _lemma_case(pi: ColoredPermutation, mode: str) -> dict:
         extensions += len(got)
         # the right size, no repeats and every word in a matching class
         # hold together exactly when the extensions are the class union;
-        # a word outside the group has no label
-        got_labels = set(map(label_of.get, got))
+        # a word outside the group has no rank
+        ranks = set(map(rank_of.get, got))
         if (
-            not want_size == len(got) == len(set(got))
-            or None in got_labels
-            or not all(matches(D, I) for D in got_labels)
+            not want_size == len(got) == len(ranks)
+            or None in ranks
+            or not all(matches(D, I) for D in set(map(labels.__getitem__, ranks)))
         ):
-            want = [w for w, D in label_of.items() if matches(D, I)]
+            want = [w for w, D in zip(words, labels) if matches(D, I)]
             failures.append(
                 {
                     "r": pi.r,
@@ -364,7 +366,7 @@ def _des_pairs(pi: ColoredPermutation) -> Counter:
     """How often each (des(s), des(s^-1 pi)) occurs over the group.  As s
     runs over the group so does t = s^-1 pi, and s = pi t^-1 is read off
     pi's table row."""
-    _, _, des, quotient_ranks = _quotient_side(pi.r, pi.n)
+    *_, des, quotient_ranks = _quotient_side(pi.r, pi.n)
     table = group_table(pi.r, pi.n)
     row = table.left_row(table.rank(pi.letters))
     return Counter(zip(map(des.__getitem__, quotient_ranks(row)), des))

@@ -1,4 +1,6 @@
+import importlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,8 +11,9 @@ import pytest
 
 import colored_descents
 from colored_descents import schemas
+from colored_descents.algebra import idempotent_class_table
 from colored_descents.cli import main
-from colored_descents.verify import SuiteReport, run_suite
+from colored_descents.verify import SUITE_NAMES, SuiteReport, run_suite
 
 
 def run(capsys, *argv):
@@ -124,7 +127,12 @@ class TestExitCodes:
         assert (code, err) == (2, "error: group of order 46080 exceeds cap 1000\n")
 
     def test_unknown_suite(self, capsys):
-        assert main(["verify", "nope"]) == 1
+        # the suite is a plain positional: run_suite refuses an unknown one,
+        # naming every suite on one line
+        code, out, err = run(capsys, "verify", "nosuch")
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "'nosuch'" in err and all(repr(name) in err for name in SUITE_NAMES)
 
     def test_verification_failure(self, capsys):
         code, out, _ = run(capsys, "verify", "closure-desset", "--r", "2", "--n", "2")
@@ -219,6 +227,45 @@ class TestExitCodes:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[3, 0] []"
+
+    def test_light_commands_load_no_algebra_or_verify(self):
+        # the package re-exports lazily and the CLI imports algebra, verify
+        # and ppartitions inside the commands that run them, so these
+        # commands never load Fraction (which pulls in decimal)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(colored_descents.__file__).parents[1]), env.get("PYTHONPATH", "")]
+        )
+        code = (
+            "import io, sys, contextlib; from colored_descents.cli import main\n"
+            "codes = []\n"
+            "for argv in (['--version'], ['enumerate', '--format', 'json'],\n"
+            "             ['order-poly', '--pi', '2_1 1_0'], ['eulerian-poly']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        try:\n"
+            "            codes.append(main(argv))\n"
+            "        except SystemExit as exc:\n"
+            "            codes.append(exc.code)\n"
+            "heavy = {'fractions', 'decimal', 'colored_descents.algebra',\n"
+            "         'colored_descents.verify'}\n"
+            "print(codes, sorted(heavy & set(sys.modules)))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[0, 0, 0, 0] []"
+
+    def test_package_exports_resolve_from_their_modules(self):
+        names = colored_descents._EXPORTS
+        assert sorted(colored_descents.__all__) == sorted(names)
+        for name, module in names.items():
+            defining = importlib.import_module(f"colored_descents.{module}")
+            assert getattr(colored_descents, name) is getattr(defining, name), name
+            assert name in dir(colored_descents), name
+        with pytest.raises(AttributeError, match="no attribute 'nosuch'"):
+            colored_descents.nosuch
 
     def test_cli_runs_without_dataclasses(self):
         # dataclasses pulls in inspect, ast, dis and tokenize: ~10 ms of
@@ -375,6 +422,33 @@ class TestArtifacts:
         assert table["common_denominator"] == "750"
         c0 = table["idempotents"][0]["by_des_class"]
         assert (c0[0]["num"], c0[0]["den"]) == ("84", "125")
+
+    @pytest.mark.parametrize("r, n", [(1, 0), (1, 3), (2, 3), (5, 3), (5, 20)])
+    def test_idempotent_table_json_bytes(self, capsys, r, n):
+        # the table is written row by row; the bytes are those of the
+        # indented encoder over the whole record
+        table = idempotent_class_table(r, n)
+        common = math.lcm(*(c.denominator for row in table for c in row))
+        record = {
+            "r": r,
+            "n": n,
+            "idempotents": [
+                {
+                    "i": i,
+                    "by_des_class": [
+                        {"des": d, "num": str(c.numerator), "den": str(c.denominator)}
+                        for d, c in enumerate(row)
+                    ],
+                }
+                for i, row in enumerate(table)
+            ],
+            "common_denominator": str(common),
+        }
+        code, out, _ = run(
+            capsys, "idempotents", "--r", str(r), "--n", str(n), "--format", "json"
+        )
+        assert code == 0
+        assert out == json.dumps(record, indent=2, sort_keys=True) + "\n"
 
     def test_idempotents_csv_rationals(self, capsys):
         code, out, _ = run(

@@ -18,7 +18,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from itertools import repeat
-from operator import eq
+from operator import add, eq, mul
 from typing import Mapping, Optional, Sequence, Union
 
 from .group import (
@@ -387,8 +387,9 @@ class ClosureReport(_Record):
     ``tensor`` holds the structure constants read off the checked products,
     ``tensor[j][k]`` being the span vector of class_sum_j * class_sum_k; it
     is None unless every product lies in the span.  ``products`` counts the
-    pairs of group elements actually composed.  Equality and hashing read
-    ``failures`` only.
+    pairs of group elements actually composed.  ``generator`` is the label
+    of the class that generated the span, or None when every pair was
+    checked.  Equality and hashing read ``failures`` only.
     """
 
     def __init__(
@@ -396,8 +397,11 @@ class ClosureReport(_Record):
         failures: tuple[ClosureFailure, ...],
         tensor: Optional[list[list[list[int]]]] = None,
         products: int = 0,
+        generator: object = None,
     ) -> None:
-        vars(self).update(failures=failures, tensor=tensor, products=products)
+        vars(self).update(
+            failures=failures, tensor=tensor, products=products, generator=generator
+        )
 
     def _key(self) -> tuple:
         return (self.failures,)
@@ -407,13 +411,95 @@ class ClosureReport(_Record):
         return not self.failures
 
 
-def closure_products(sizes: Sequence[int]) -> int:
-    """(|G| - max |C|)^2, the compositions ``verify_closure`` makes for
-    classes of these sizes; raises SizeCapExceeded above the pairs cap."""
-    products = (sum(sizes) - max(sizes)) ** 2
+def _pairs_cap(products: int) -> int:
+    """products, or SizeCapExceeded above the pairs cap."""
     if products > DEFAULT_MAX_PAIRS:
         raise SizeCapExceeded(f"{products} products exceed cap {DEFAULT_MAX_PAIRS}")
     return products
+
+
+def closure_products(sizes: Sequence[int]) -> int:
+    """(|G| - max |C|)^2, the compositions ``verify_closure`` makes for
+    classes of these sizes; raises SizeCapExceeded above the pairs cap."""
+    return _pairs_cap((sum(sizes) - max(sizes)) ** 2)
+
+
+def generated_products(sizes: Sequence[int]) -> int:
+    """The compositions ``generated_closure`` makes on nonempty classes of
+    these sizes when, as for the descent classes, its first candidate of
+    more than one element generates; SizeCapExceeded above the pairs cap."""
+    sizes = sorted(size for size in sizes if size)
+    tried = next((i + 1 for i, size in enumerate(sizes) if size > 1), len(sizes))
+    return _pairs_cap(sum(sizes) * sum(sizes[:tried]))
+
+
+def generated_closure(partition: ClassPartition) -> ClosureReport:
+    """``verify_closure`` for a span V that one class sum C_g generates.
+
+    If the identity's class is {e}, C_g V lies in V and the powers 1, C_g,
+    ..., C_g^(K-1) have rank K, then V = Q[C_g] is a commutative subalgebra,
+    and C_j = sum_i a[j][i] C_g^i gives every C_j C_k from the products
+    C_g C_k.  Candidates g go in ascending (size, label) order, each
+    checked against the pairs cap before its first row; the first of rank
+    K generates.  acc[p] packs every (C_g C_k)(p) as the sum over s in C_g
+    of 2^(bits class(s^-1 p)), so C_g V lies in V iff acc is constant on
+    each class.  Otherwise, or if no candidate reaches rank K, the report
+    is ``verify_closure``'s, with the compositions of both routes.
+    """
+    classes = [info.ranks for info in partition.classes]
+    K, table = len(classes), group_table(partition.r, partition.n)
+    label = [0] * len(table)
+    for k, ranks in enumerate(classes):
+        for p in ranks:
+            label[p] = k
+    step = partition.r ** partition.n  # the rank blocks of GroupTable.left_row
+    label_blocks = [label[i:i + step] for i in range(0, len(label), step)]
+    unit, products = label[0], 0
+    candidates = sorted(range(K), key=lambda k: len(classes[k]))
+    for g in candidates if len(classes[unit]) == 1 else ():
+        products = _pairs_cap(products + len(table) * len(classes[g]))
+        bits = len(classes[g]).bit_length()
+        weights = [1 << (bits * k) for k in range(K)]
+        blocks = [list(map(weights.__getitem__, block)) for block in label_blocks]
+        acc = [0] * len(table)
+        for s in sorted(map(table.inverse, classes[g])):
+            acc = list(map(add, acc, table.left_row(s, blocks)))
+        if len(set(zip(label, acc))) != K:
+            break
+        L = [[acc[ranks[0]] >> (bits * k) & ((1 << bits) - 1) for ranks in classes]
+             for k in range(K)]
+        powers = [[[int(i == j) for j in range(K)] for i in range(K)]]
+        for _ in range(1, K):
+            powers.append([[sum(map(mul, row, column)) for column in zip(*L)]
+                           for row in powers[-1]])
+        rank, a = _rank_inverse([power[unit] for power in powers])
+        if rank == K:
+            tensor = [[[sum(a[j][i] * powers[i][k][l] for i in range(K))
+                        for l in range(K)] for k in range(K)] for j in range(K)]
+            assert all(x.denominator == 1 for m in tensor for row in m for x in row)
+            tensor = [[list(map(int, row)) for row in m] for m in tensor]
+            return ClosureReport((), tensor, products, partition.classes[g].label)
+    report = verify_closure(partition)
+    return ClosureReport(report.failures, report.tensor, products + report.products)
+
+
+def _rank_inverse(rows: Sequence[Sequence[int]]) -> tuple[int, Optional[list]]:
+    """The rank of a square matrix over Q by Gauss-Jordan elimination, and
+    its inverse when the rank is full, else None."""
+    K = len(rows)
+    work = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(K)]
+            for i, row in enumerate(rows)]
+    rank = 0
+    for col in range(K):
+        pivot = next((i for i in range(rank, K) if work[i][col]), None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        top = [x / work[rank][col] for x in work[rank]]
+        work = [top if i == rank else [x - row[col] * y for x, y in zip(row, top)]
+                for i, row in enumerate(work)]
+        rank += 1
+    return rank, [row[K:] for row in work] if rank == K else None
 
 
 def verify_closure(partition: ClassPartition) -> ClosureReport:

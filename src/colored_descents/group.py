@@ -296,11 +296,22 @@ class GroupTable:
         p, c = divmod(rank, len(self._colors))
         return tuple(zip(self._colors[c], self._perms[p]))
 
-    def left_row(self, s: int) -> list[int]:
-        """``[rank(s*t) for t in range(len(self))]``."""
+    def inverse(self, s: int) -> int:
+        """The rank of the inverse of the element of rank s: value v goes
+        back to its position, and its color is negated mod r."""
         p, c = divmod(s, len(self._colors))
-        blocks = self._blocks
-        row: list[int] = []
+        back = sorted(range(self.n), key=self._perms[p].__getitem__)
+        colors = tuple(-self._colors[c][i] % self.r for i in back)
+        perm = self._perm_index[tuple(i + 1 for i in back)]
+        return perm * len(self._colors) + self._color_index[colors]
+
+    def left_row(self, s: int, blocks: Sequence[Sequence] = ()) -> list:
+        """``[rank(s*t) for t in range(len(self))]``, or with ``blocks``,
+        which hold a value per rank cut into the rank blocks below,
+        ``[value(s*t) for t in range(len(self))]``."""
+        p, c = divmod(s, len(self._colors))
+        blocks = blocks or self._blocks
+        row: list = []
         for v, shifted in zip(self._value_row(p), self._shift_row(c)):
             row.extend(self._sum_gather(shifted)(blocks[v]))
         return row
@@ -323,12 +334,12 @@ class GroupTable:
 
     def _sum_gather(self, c: int) -> Callable[[Sequence], tuple]:
         """Gathers ``block[i]``, i being the index of color vector c + d
-        mod r, for every d."""
-        colors, r = self._colors[c], self.r
-        return _gather([
-            self._color_index[tuple((a + b) % r for a, b in zip(colors, d))]
-            for d in self._colors
-        ])
+        mod r, for every d: the base-r digits of i, first position most
+        significant, are built from the last position up."""
+        r, row = self.r, [0]
+        for a in reversed(self._colors[c]):
+            row = [((a + x) % r) * len(row) + rest for x in range(r) for rest in row]
+        return _gather(row)
 
 
 @functools.lru_cache(maxsize=8)

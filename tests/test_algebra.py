@@ -43,6 +43,8 @@ from colored_descents.algebra import (
     des_partition,
     desset_partition,
     eulerian_idempotents,
+    generated_closure,
+    generated_products,
     idempotent_class_table,
     is_in_span,
     mr_partition,
@@ -374,13 +376,111 @@ class TestClosure:
         assert verify_closure(mr_partition(2, 2)).passed
         assert verify_closure(mr_partition(3, 2)).passed
 
-    @pytest.mark.parametrize("r, n", CLOSURE_DES_SWEEP + ((4, 4),))
+    @pytest.mark.parametrize("r, n", CLOSURE_DES_SWEEP + ((4, 4), (2, 5)))
     def test_tensor_matches_factorisation_count(self, r, n):
         partition = des_partition(r, n)
         report = verify_closure(partition)
         assert report.tensor == factorisation_count_tensor(partition)
         largest = max(info.size for info in partition.classes)
         assert report.products == (group_order(r, n) - largest) ** 2
+        # the generated route reaches rank K, with no fallback, and reads
+        # the same tensor off one generator class
+        generated = generated_closure(partition)
+        assert generated.generator is not None
+        assert generated.tensor == report.tensor
+        sizes = [info.size for info in partition.classes]
+        assert generated.products == generated_products(sizes)
+
+    def test_singleton_candidates_fall_short_of_rank(self, monkeypatch):
+        # G(2, 4): C_0 = {e} and C_4 have one element each, and their powers
+        # reach rank 1 and 2 of 5; C_1, of 76 elements, generates
+        ranks = []
+        rank_inverse = colored_descents.algebra._rank_inverse
+
+        def recording(rows):
+            ranks.append(rank_inverse(rows)[0])
+            return rank_inverse(rows)
+
+        monkeypatch.setattr(colored_descents.algebra, "_rank_inverse", recording)
+        report = generated_closure(des_partition(2, 4))
+        assert ranks == [1, 2, 5]
+        assert report.generator == 1 and report.products == 384 * (1 + 1 + 76)
+
+    def test_rank_short_candidates_never_pass(self, monkeypatch):
+        # with every candidate short of rank K the route has proved nothing:
+        # the pair check decides, and no generator is named
+        def short(rows):
+            return len(rows) - 1, None
+
+        monkeypatch.setattr(colored_descents.algebra, "_rank_inverse", short)
+        partition = des_partition(2, 3)
+        report = generated_closure(partition)
+        full = verify_closure(partition)
+        assert report.passed and report.generator is None
+        assert report.tensor == full.tensor
+        assert report.products == 48 * (1 + 1 + 23 + 23) + full.products
+
+    @pytest.mark.parametrize("r, n", [(2, 3), (3, 3), (2, 4)])
+    def test_moved_member_fails_like_the_pair_check(self, r, n):
+        # one member of C_2 moved into C_1 breaks C_1 V in V
+        classes = list(des_partition(r, n).classes)
+        moved, *rest = classes[2].ranks
+        classes[1] = ClassInfo(1, tuple(sorted(classes[1].ranks + (moved,))))
+        classes[2] = ClassInfo(2, tuple(rest))
+        partition = ClassPartition(r, n, "des", tuple(classes))
+        report = generated_closure(partition)
+        full = verify_closure(partition)
+        assert not report.passed and report.generator is None
+        assert report == full
+        assert [f.to_json() for f in report.failures] == [
+            f.to_json() for f in full.failures
+        ]
+
+    @pytest.mark.parametrize("r, n", [(2, 2), (2, 3), (3, 3)])
+    def test_identity_class_larger_than_e_goes_to_the_pair_check(self, r, n):
+        # with C_0 merged into C_1 the identity is no class sum, so no power
+        # basis is read off the class holding it
+        first, second, *rest = des_partition(r, n).classes
+        merged = ClassInfo(1, tuple(sorted(first.ranks + second.ranks)))
+        partition = ClassPartition(r, n, "des", (merged, *rest))
+        report = generated_closure(partition)
+        full = verify_closure(partition)
+        assert report.generator is None and report.products == full.products
+        assert report == full and report.tensor == full.tensor
+
+    def test_unclosed_desset_fails_with_the_pair_check_witnesses(self):
+        partition = desset_partition(2, 2)
+        report = generated_closure(partition)
+        full = verify_closure(partition)
+        assert not report.passed and report.generator is None
+        assert [f.to_json() for f in report.failures] == [
+            f.to_json() for f in full.failures
+        ]
+
+    def test_route_checks_the_cap_before_each_candidate(self, monkeypatch):
+        # G(2, 3), 48 elements: a cap of 96 lets C_0 and C_3 through, one
+        # row each, and refuses C_1 before its first row
+        rows = []
+        left_row = GroupTable.left_row
+
+        def counting(self, s, *blocks):
+            rows.append(s)
+            return left_row(self, s, *blocks)
+
+        partition = des_partition(2, 3)
+        monkeypatch.setattr(GroupTable, "left_row", counting)
+        monkeypatch.setattr(colored_descents.algebra, "DEFAULT_MAX_PAIRS", 96)
+        with pytest.raises(SizeCapExceeded, match="^1200 products exceed cap 96$"):
+            generated_closure(partition)
+        assert len(rows) == 2
+
+    def test_route_products_refuse_g_2_7(self):
+        # 645120 elements times the candidates C_0, C_7 and C_1 up to the
+        # generator; G(2, 6) needs 46080 (1 + 1 + 722)
+        sizes = [1, 2179, 60657, 259723, 259723, 60657, 2179, 1]
+        with pytest.raises(SizeCapExceeded, match="^1407006720 products exceed"):
+            generated_products(sizes)
+        assert generated_products([1, 722, 10543, 23548, 10543, 722, 1]) == 46080 * 724
 
     @pytest.mark.parametrize("partition", [
         desset_partition(2, 2),

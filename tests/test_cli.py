@@ -107,24 +107,26 @@ class TestExitCodes:
         assert main(["order-poly", "--r", "2"]) == 1
 
     def test_closure_refused_before_any_partition(self, capsys, monkeypatch):
-        # G(2,6) needs (46080 - 23548)^2 pairs; the closed class sizes say
-        # so before a word of the partition is built
+        # G(2,7) needs 645120 (1 + 1 + 2179) products, C_0, C_7 and C_1
+        # being the candidates up to the generator; the closed class sizes
+        # say so before a word of the partition or a table row is built
         def fail(*args, **kwargs):
-            raise AssertionError("a partition was built")
+            raise AssertionError("a partition or a row was built")
 
         monkeypatch.setattr("colored_descents.verify.des_partition", fail)
+        monkeypatch.setattr("colored_descents.group.GroupTable.left_row", fail)
         for suite in ("closure-des", "idempotents", "phi"):
             code, out, err = run(
-                capsys, "verify", suite, "--r", "2", "--n", "6", "--format", "json"
+                capsys, "verify", suite, "--r", "2", "--n", "7", "--format", "json"
             )
             assert (code, out) == (2, "")
-            assert err == "error: 507691024 products exceed cap 250000000\n"
+            assert err == "error: 1407006720 products exceed cap 250000000\n"
         # over both caps, the group cap is reported
         code, _, err = run(
-            capsys, "verify", "closure-des", "--r", "2", "--n", "6",
+            capsys, "verify", "closure-des", "--r", "2", "--n", "7",
             "--max-group-size", "1000",
         )
-        assert (code, err) == (2, "error: group of order 46080 exceeds cap 1000\n")
+        assert (code, err) == (2, "error: group of order 645120 exceeds cap 1000\n")
 
     def test_unknown_suite(self, capsys):
         # the suite is a plain positional: run_suite refuses an unknown one,

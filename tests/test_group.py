@@ -369,6 +369,23 @@ def test_group_table_matches_compose(s):
     assert table.word(table.rank(s.letters)) == s.letters
     row = table.left_row(table.rank(s.letters))
     assert row == [table.rank(compose(s, t).letters) for t in elements]
+    # the rank-level inverse is the word inverse's rank
+    assert table.word(table.inverse(table.rank(s.letters))) == inverse(s).letters
+
+
+@pytest.mark.parametrize("r, n", [(1, 3), (2, 4), (3, 3), (5, 3)])
+def test_color_sum_rows_match_the_tuple_definition(r, n):
+    # the digit-wise row against the index of each summed color vector
+    table = GroupTable(r, n)
+    colors = list(itertools.product(range(r), repeat=n))
+    index = {c: i for i, c in enumerate(colors)}
+    block = list(range(len(colors)))
+    for c in colors:
+        want = [index[tuple((a + b) % r for a, b in zip(c, d))] for d in colors]
+        assert list(table._sum_gather(index[c])(block)) == want
+    assert [table.inverse(p) for p in range(len(table))] == [
+        table.rank(inverse(pi).letters) for pi in enumerate_group(r, n)
+    ]
 
 
 @pytest.mark.parametrize("indices", [(), (2,), (3, 0, 3)], ids=len)

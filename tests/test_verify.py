@@ -14,6 +14,7 @@ from colored_descents.algebra import (
     ClosureReport,
     algebra_multiply,
     des_partition,
+    generated_closure,
     partition_by,
     structure_poly_eval,
     verify_closure,
@@ -80,11 +81,11 @@ def test_phi_names_its_first_failing_pair(monkeypatch):
     # at G(2, 2), phi(x) has C(x + 1, 2) on C_1 and C(x, 2) on C_2, so a
     # miscounted C_1 C_2 enters phi(x) phi(y) from x = 1, y = 2 on
     def miscounted(partition):
-        report = verify_closure(partition)
+        report = generated_closure(partition)
         report.tensor[1][2][0] += 1
         return report
 
-    monkeypatch.setattr(verify, "verify_closure", miscounted)
+    monkeypatch.setattr(verify, "generated_closure", miscounted)
     report = run_suite("phi", r=2, n=2)
     assert report.checks == 9 and not report.passed
     assert report.failures == [{"r": 2, "n": 2, "x": 1, "y": 2}]
@@ -99,10 +100,10 @@ def test_an_unclosed_group_is_recorded_and_the_next_still_checked(
     def unclosed_at_2_3(partition):
         if (partition.r, partition.n) == (2, 3):
             return ClosureReport((ClosureFailure(1, 1, ((), (), 0, 1)),))
-        return verify_closure(partition)
+        return generated_closure(partition)
 
     closed = {(r, n): run_suite(suite, r=r, n=n).checks for r, n in IDEMPOTENT_GROUPS}
-    monkeypatch.setattr(verify, "verify_closure", unclosed_at_2_3)
+    monkeypatch.setattr(verify, "generated_closure", unclosed_at_2_3)
     report = run_suite(suite)
     assert report.failures == [{"r": 2, "n": 3, "closure": False}]
     assert report.checks == sum(closed.values()) - closed[2, 3]
@@ -124,6 +125,7 @@ def test_closed_partition_checks_make_no_word(monkeypatch):
     monkeypatch.setattr(GroupTable, "word", fail)
     monkeypatch.setattr(ClassPartition, "order", property(fail))
     assert verify_closure(des_partition(3, 3)).passed
+    assert generated_closure(des_partition(3, 3)).generator == 3
     assert run_suite("closure-des", r=3, n=3).passed
     assert run_suite("idempotents", r=3, n=3).passed
     assert run_suite("phi", r=3, n=3).passed
@@ -266,13 +268,17 @@ def test_lemma_suites_run_one_case_per_group_element(monkeypatch, mode, r, n, or
 
 
 def test_closure_records_count_products():
-    # G(3, 4): 1944 elements, largest descent class 1131; G(2, 2): 8 and 3
+    # G(3, 4): 1944 elements, and the candidates C_0 and C_4, of 1 and 16
+    # elements, tried up to the generator C_4; G(2, 2): 8 elements, the
+    # largest descent-set class of 3, every pair checked
     report = run_suite("closure-des", r=3, n=4)
-    assert [g["products"] for g in report.details["groups"]] == [813**2]
+    assert [g["products"] for g in report.details["groups"]] == [1944 * 17]
+    assert [g["generator"] for g in report.details["groups"]] == [4]
     assert run_suite("closure-des", r=3, n=4, jobs=2).to_json() == report.to_json()
     desset = run_suite("closure-desset", r=2, n=2)
     assert desset.details["closure"]["products"] == 5**2
     assert [f["products"] for f in desset.failures] == [5**2]
+    assert desset.details["closure"]["generator"] is None
 
 
 def _drop(got, r, n):

@@ -17,9 +17,8 @@ import functools
 import math
 from collections import Counter
 from fractions import Fraction
-from itertools import repeat
-from operator import add, eq, mul
-from typing import Mapping, Optional, Sequence, Union
+from operator import add, mul
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .group import (
     DEFAULT_MAX_GROUP_SIZE,
@@ -146,8 +145,9 @@ def algebra_multiply(
 
     so only the supports of a' and b' are convolved.  Those are grouped by
     coefficient value, and the coefficient of p in a' b' is the sum of
-    c * d * #{(s, t) : st = p, a'[s] = c, b'[t] = d}, the counts coming
-    from ``_convolve``.
+    c * d * #{(s, t) : st = p, a'[s] = c, b'[t] = d}.  Each left row is
+    built once and every right value group is gathered from it, so the
+    per-pair work runs in C.
     """
     _check_same_group(a, b)
     size = group_order(a.r, a.n)
@@ -157,13 +157,17 @@ def algebra_multiply(
             f"product support {left_size}x{right_size} exceeds cap"
         )
     table = group_table(a.r, a.n)
-    right = _value_groups(table, b, v)
-    right_ranks = [ranks for _, ranks in right]
+    right = [(d, _gather(ranks)) for d, ranks in _value_groups(table, b, v)]
     coeffs: dict[int, Scalar] = {}
     for c, left in _value_groups(table, a, u):
-        for (d, _), counts in zip(right, _convolve(table, left, right_ranks)):
+        counts = [Counter() for _ in right]
+        for s in left:
+            row = table.left_row(s)
+            for count, (_, gather) in zip(counts, right):
+                count.update(gather(row))
+        for (d, _), count in zip(right, counts):
             cd = c * d
-            for p, m in counts.items():
+            for p, m in count.items():
                 coeffs[p] = coeffs.get(p, 0) + cd * m
     total = v * sum(a.coeffs.values()) + u * (sum(b.coeffs.values()) - v * size)
     if total:
@@ -196,23 +200,6 @@ def _value_groups(
         if c != u:
             groups.setdefault(c - u, []).append(p)
     return list(groups.items())
-
-
-def _convolve(
-    table: GroupTable, left: Sequence[int], rights: Sequence[Sequence[int]]
-) -> list[Counter]:
-    """For each rank set T in rights, how often s*t = p over s in left, t in T.
-
-    Each left row is built once and every right set is gathered from it,
-    so the per-pair work runs in C.
-    """
-    counts = [Counter() for _ in rights]
-    gathers = [_gather(ranks) for ranks in rights]
-    for s in left:
-        row = table.left_row(s)
-        for count, gather in zip(counts, gathers):
-            count.update(gather(row))
-    return counts
 
 
 class ClassInfo(_Record):
@@ -355,10 +342,22 @@ def is_in_span(a: GroupAlgebraElement, partition: ClassPartition) -> SpanCheck:
     """
     if (a.r, a.n) != (partition.r, partition.n):
         raise ValueError("element and partition live on different groups")
-    order = partition.order
-    scan = _span_scan([[order[p] for p in info.ranks] for info in partition.classes])
-    vector, witness = scan(a.coeffs)
-    return SpanCheck(None if vector is None else tuple(vector), witness)
+    values = [a.coeffs.get(w, 0) for w in partition.order]
+    witness = _first_difference(partition, values)
+    vector = tuple(values[info.ranks[0]] for info in partition.classes)
+    return SpanCheck(None if witness else vector, witness)
+
+
+def _first_difference(partition: ClassPartition, values: Sequence) -> Optional[tuple]:
+    """``(word s, word t, values[s], values[t])`` for the first member t of
+    the first class whose per-rank values differ from its first member s;
+    None if the values are constant on every class."""
+    for info in partition.classes:
+        s = info.ranks[0]
+        for t in info.ranks:
+            if values[t] != values[s]:
+                return partition.order[s], partition.order[t], values[s], values[t]
+    return None
 
 
 class ClosureFailure(_Record):
@@ -418,12 +417,6 @@ def _pairs_cap(products: int) -> int:
     return products
 
 
-def closure_products(sizes: Sequence[int]) -> int:
-    """(|G| - max |C|)^2, the compositions ``verify_closure`` makes for
-    classes of these sizes; raises SizeCapExceeded above the pairs cap."""
-    return _pairs_cap((sum(sizes) - max(sizes)) ** 2)
-
-
 def generated_products(sizes: Sequence[int]) -> int:
     """The compositions ``generated_closure`` makes on nonempty classes of
     these sizes when, as for the descent classes, its first candidate of
@@ -431,6 +424,41 @@ def generated_products(sizes: Sequence[int]) -> int:
     sizes = sorted(size for size in sizes if size)
     tried = next((i + 1 for i, size in enumerate(sizes) if size > 1), len(sizes))
     return _pairs_cap(sum(sizes) * sum(sizes[:tried]))
+
+
+def _class_rows(partition: ClassPartition) -> tuple[list[int], Callable]:
+    """Each rank's class index, and the packed class-product kernel.
+
+    ``class_row(ranks, bits)`` is the list acc with acc[p] the sum over s
+    in ranks of 2^(bits class(s^-1 p)).  For ranks the members of C_j and
+    bits = |C_j|.bit_length(), the field k of acc[p], ``bits`` wide, is
+    #{s in C_j : s^-1 p in C_k} = (C_j C_k)(p), so one pass over the left
+    rows of C_j^-1 gives every C_j C_k.  The labels are cut once into the
+    rank blocks of ``GroupTable.left_row``, and each pass weights them.
+    """
+    table = group_table(partition.r, partition.n)
+    label = [0] * len(table)
+    for k, info in enumerate(partition.classes):
+        for p in info.ranks:
+            label[p] = k
+    step = partition.r ** partition.n  # the rank blocks of GroupTable.left_row
+    label_blocks = [label[i:i + step] for i in range(0, len(label), step)]
+
+    def class_row(ranks: Sequence[int], bits: int) -> list[int]:
+        weights = [1 << (bits * k) for k in range(len(partition.classes))]
+        blocks = [list(map(weights.__getitem__, block)) for block in label_blocks]
+        acc = [0] * len(table)
+        for s in sorted(map(table.inverse, ranks)):
+            acc = list(map(add, acc, table.left_row(s, blocks)))
+        return acc
+
+    return label, class_row
+
+
+def _fields(values: Sequence[int], bits: int, K: int) -> list[list[int]]:
+    """Field k of each value, for k < K, the fields ``bits`` wide from the lowest."""
+    mask = (1 << bits) - 1
+    return [[v >> (bits * k) & mask for v in values] for k in range(K)]
 
 
 def generated_closure(partition: ClassPartition) -> ClosureReport:
@@ -441,33 +469,23 @@ def generated_closure(partition: ClassPartition) -> ClosureReport:
     and C_j = sum_i a[j][i] C_g^i gives every C_j C_k from the products
     C_g C_k.  Candidates g go in ascending (size, label) order, each
     checked against the pairs cap before its first row; the first of rank
-    K generates.  acc[p] packs every (C_g C_k)(p) as the sum over s in C_g
-    of 2^(bits class(s^-1 p)), so C_g V lies in V iff acc is constant on
-    each class.  Otherwise, or if no candidate reaches rank K, the report
-    is ``verify_closure``'s, with the compositions of both routes.
+    K generates.  ``_class_rows`` packs every (C_g C_k)(p) into one acc[p],
+    so C_g V lies in V iff acc is constant on each class.  Otherwise, or if
+    no candidate reaches rank K, the report is ``verify_closure``'s, with
+    the compositions of both routes.
     """
     classes = [info.ranks for info in partition.classes]
-    K, table = len(classes), group_table(partition.r, partition.n)
-    label = [0] * len(table)
-    for k, ranks in enumerate(classes):
-        for p in ranks:
-            label[p] = k
-    step = partition.r ** partition.n  # the rank blocks of GroupTable.left_row
-    label_blocks = [label[i:i + step] for i in range(0, len(label), step)]
+    K = len(classes)
+    label, class_row = _class_rows(partition)
     unit, products = label[0], 0
     candidates = sorted(range(K), key=lambda k: len(classes[k]))
     for g in candidates if len(classes[unit]) == 1 else ():
-        products = _pairs_cap(products + len(table) * len(classes[g]))
+        products = _pairs_cap(products + len(label) * len(classes[g]))
         bits = len(classes[g]).bit_length()
-        weights = [1 << (bits * k) for k in range(K)]
-        blocks = [list(map(weights.__getitem__, block)) for block in label_blocks]
-        acc = [0] * len(table)
-        for s in sorted(map(table.inverse, classes[g])):
-            acc = list(map(add, acc, table.left_row(s, blocks)))
+        acc = class_row(classes[g], bits)
         if len(set(zip(label, acc))) != K:
             break
-        L = [[acc[ranks[0]] >> (bits * k) & ((1 << bits) - 1) for ranks in classes]
-             for k in range(K)]
+        L = _fields([acc[ranks[0]] for ranks in classes], bits, K)
         powers = [[[int(i == j) for j in range(K)] for i in range(K)]]
         for _ in range(1, K):
             powers.append([[sum(map(mul, row, column)) for column in zip(*L)]
@@ -505,88 +523,30 @@ def _rank_inverse(rows: Sequence[Sequence[int]]) -> tuple[int, Optional[list]]:
 def verify_closure(partition: ClassPartition) -> ClosureReport:
     """Check every product of two class sums against the span of the sums.
 
-    Let K be the largest class, the first on ties.  Only left classes
-    j != K are convolved, one at a time, and only against right classes
-    k != K: (|G| - |C_K|)^2 compositions in all.  The rest follows from
-    C_j S = S C_j = |C_j| S, S being the sum of the group, which is the sum
-    of all classes.  For every p,
-
-        (C_j C_K)(p) = |C_j| - sum_{k != K} (C_j C_k)(p),
-        (C_K C_k)(p) = |C_k| - sum_{j != K} (C_j C_k)(p),
-        (C_K C_K)(p) = 2 |C_K| - |G| + sum_{j, k != K} (C_j C_k)(p),
-
-    the sums over j kept as one running accumulator per k.  Each product
-    is tested for constancy on every class.  A failing pair reports the
-    first differing member of its first non-constant class.  When all
-    pairs pass, their span vectors form the structure-constant tensor
-    carried on the report.
+    For each left class j, one ``_class_rows`` pass packs every C_j C_k,
+    |G| |C_j| compositions, |G|^2 in all, checked against the pairs cap
+    before any row.  The pairs (j, k) all pass iff the packed row is
+    constant on every class.  Otherwise each field k is unpacked, and a
+    failing pair reports the first differing member of its first
+    non-constant class.  When all pairs pass, their span vectors form the
+    structure-constant tensor carried on the report.
     """
     classes = [info.ranks for info in partition.classes]
-    big = max(range(len(classes)), key=lambda k: len(classes[k]))
-    products = closure_products([len(ranks) for ranks in classes])
-    table = group_table(partition.r, partition.n)
-    others = [k for k in range(len(classes)) if k != big]
-    rest = [classes[k] for k in others]
-    columns = [Counter() for _ in others]
-    corner = Counter()
-    tensor = [[None] * len(classes) for _ in classes]
-    failures = []
-    scan = _span_scan(classes)
-
-    def check(j: int, k: int, counts: Counter, base: int = 0, sign: int = 1) -> None:
-        """Test C_j C_k, whose coefficient of p is base + sign * counts[p]."""
-        vector, witness = scan(counts)
-        if witness is None:
-            tensor[j][k] = [base + sign * m for m in vector]
-        else:
-            s, t, cs, ct = witness
-            failures.append(ClosureFailure(
-                j, k, (table.word(s), table.word(t), base + sign * cs, base + sign * ct)
-            ))
-
-    for j in others:
-        row = Counter()
-        for k, column, counts in zip(others, columns, _convolve(table, classes[j], rest)):
-            check(j, k, counts)
-            row.update(counts)
-            column.update(counts)
-        check(j, big, row, len(classes[j]), -1)
-        corner.update(row)
-    for k, column in zip(others, columns):
-        check(big, k, column, len(classes[k]), -1)
-    check(big, big, corner, 2 * len(classes[big]) - len(table))
-    failures.sort(key=lambda f: (f.left, f.right))
+    K = len(classes)
+    products = _pairs_cap(sum(map(len, classes)) ** 2)
+    label, class_row = _class_rows(partition)
+    tensor, failures = [], []
+    for j, ranks in enumerate(classes):
+        bits = len(ranks).bit_length()
+        acc = class_row(ranks, bits)
+        if len(set(zip(label, acc))) == K:
+            tensor.append(_fields([acc[members[0]] for members in classes], bits, K))
+            continue
+        for k, field in enumerate(_fields(acc, bits, K)):
+            witness = _first_difference(partition, field)
+            if witness is not None:
+                failures.append(ClosureFailure(j, k, witness))
     return ClosureReport(tuple(failures), None if failures else tensor, products)
-
-
-def _span_scan(classes: Sequence[Sequence]):
-    """A constancy test over the given classes of keys (words or ranks
-    alike).  ``scan(coeffs)`` takes a mapping that stores no zero and
-    returns ``(vector, None)`` if ``coeffs.get(key, 0)`` is constant on
-    every class, else ``(None, (key1, key2, coeff1, coeff2))`` for the
-    first differing member of the first non-constant class."""
-    label = {key: i for i, members in enumerate(classes) for key in members}
-    sizes = list(map(len, classes))
-    indices = range(len(classes))
-
-    def scan(coeffs: Mapping) -> tuple:
-        # constant iff each class meeting the support lies inside it with
-        # one value; this reads only the support
-        labels = list(map(label.__getitem__, coeffs))
-        inside = Counter(labels)
-        values = dict(zip(labels, coeffs.values()))
-        if len(set(zip(labels, coeffs.values()))) == len(values) and all(
-            map(eq, inside.values(), map(sizes.__getitem__, inside))
-        ):
-            return list(map(values.get, indices, repeat(0))), None
-        for members in classes:
-            ref = coeffs.get(members[0], 0)
-            for key in members:
-                c = coeffs.get(key, 0)
-                if c != ref:
-                    return None, (members[0], key, ref, c)
-
-    return scan
 
 
 def collapsed_product(

@@ -378,16 +378,18 @@ class TestClosure:
 
     @pytest.mark.parametrize("r, n", CLOSURE_DES_SWEEP + ((4, 4), (2, 5)))
     def test_tensor_matches_factorisation_count(self, r, n):
+        # both routes read the word-level count, not each other: they share
+        # one packed class-product kernel
         partition = des_partition(r, n)
+        expected = factorisation_count_tensor(partition)
         report = verify_closure(partition)
-        assert report.tensor == factorisation_count_tensor(partition)
-        largest = max(info.size for info in partition.classes)
-        assert report.products == (group_order(r, n) - largest) ** 2
+        assert report.tensor == expected
+        assert report.products == group_order(r, n) ** 2
         # the generated route reaches rank K, with no fallback, and reads
-        # the same tensor off one generator class
+        # the tensor off one generator class
         generated = generated_closure(partition)
         assert generated.generator is not None
-        assert generated.tensor == report.tensor
+        assert generated.tensor == expected
         sizes = [info.size for info in partition.classes]
         assert generated.products == generated_products(sizes)
 
@@ -432,6 +434,7 @@ class TestClosure:
         full = verify_closure(partition)
         assert not report.passed and report.generator is None
         assert report == full
+        assert report.failures == reference_closure_failures(partition)
         assert [f.to_json() for f in report.failures] == [
             f.to_json() for f in full.failures
         ]
@@ -447,12 +450,14 @@ class TestClosure:
         full = verify_closure(partition)
         assert report.generator is None and report.products == full.products
         assert report == full and report.tensor == full.tensor
+        assert report.failures == reference_closure_failures(partition)
 
     def test_unclosed_desset_fails_with_the_pair_check_witnesses(self):
         partition = desset_partition(2, 2)
         report = generated_closure(partition)
         full = verify_closure(partition)
         assert not report.passed and report.generator is None
+        assert report.failures == reference_closure_failures(partition)
         assert [f.to_json() for f in report.failures] == [
             f.to_json() for f in full.failures
         ]
@@ -485,8 +490,10 @@ class TestClosure:
     @pytest.mark.parametrize("partition", [
         desset_partition(2, 2),
         desset_partition(2, 3),
+        desset_partition(2, 4),
         mr_partition(2, 2),
         *(variant_partition(3, 2, a, b) for a in range(3) for b in range(3)),
+        *(variant_partition(2, 3, a, b) for a in range(2) for b in range(2)),
     ], ids=lambda p: f"{p.kind}-{p.r}-{p.n}")
     def test_failures_match_full_reference(self, partition):
         assert verify_closure(partition).failures == reference_closure_failures(
@@ -494,13 +501,14 @@ class TestClosure:
         )
 
     def test_cap_is_checked_before_any_row(self, monkeypatch):
+        # |G|^2 = 46080^2 compositions at G(2, 6)
         partition = des_partition(2, 6)
 
-        def fail(self, s):
+        def fail(*args):
             raise AssertionError("a row was built")
 
         monkeypatch.setattr(GroupTable, "left_row", fail)
-        with pytest.raises(SizeCapExceeded, match="507691024 products exceed cap"):
+        with pytest.raises(SizeCapExceeded, match="^2123366400 products exceed cap"):
             verify_closure(partition)
 
     def test_report_equality_ignores_tensor_and_products(self):

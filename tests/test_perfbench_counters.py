@@ -30,3 +30,6 @@ def test_partition_and_closure_counters():
     report = verify_closure(partition)
     assert products((partition,), {}, report) == size**2
     assert products((), {"partition": partition}, report) == size**2
+    # the pair check composes every pair, so the tracer's |G|^2 is the
+    # report's own count
+    assert products((partition,), {}, report) == report.products

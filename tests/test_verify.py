@@ -269,15 +269,15 @@ def test_lemma_suites_run_one_case_per_group_element(monkeypatch, mode, r, n, or
 
 def test_closure_records_count_products():
     # G(3, 4): 1944 elements, and the candidates C_0 and C_4, of 1 and 16
-    # elements, tried up to the generator C_4; G(2, 2): 8 elements, the
-    # largest descent-set class of 3, every pair checked
+    # elements, tried up to the generator C_4; G(2, 2): 8 elements, every
+    # pair checked, |G|^2 compositions
     report = run_suite("closure-des", r=3, n=4)
     assert [g["products"] for g in report.details["groups"]] == [1944 * 17]
     assert [g["generator"] for g in report.details["groups"]] == [4]
     assert run_suite("closure-des", r=3, n=4, jobs=2).to_json() == report.to_json()
     desset = run_suite("closure-desset", r=2, n=2)
-    assert desset.details["closure"]["products"] == 5**2
-    assert [f["products"] for f in desset.failures] == [5**2]
+    assert desset.details["closure"]["products"] == 8**2
+    assert [f["products"] for f in desset.failures] == [8**2]
     assert desset.details["closure"]["generator"] is None
 
 

@@ -16,9 +16,8 @@ from __future__ import annotations
 import functools
 import math
 from collections import Counter
-from fractions import Fraction
 from operator import add, mul
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Mapping, Optional, Sequence, Union
 
 from .group import (
     DEFAULT_MAX_GROUP_SIZE,
@@ -40,19 +39,24 @@ from .group import (
     word_str,
 )
 
-Scalar = Union[int, Fraction]
+if TYPE_CHECKING:  # a Fraction is imported only where one is built
+    from fractions import Fraction
+Scalar = Union[int, "Fraction"]
 
 DEFAULT_MAX_PAIRS = 250_000_000
 
 
 def _require_exact(q: Scalar) -> Scalar:
-    if not isinstance(q, (int, Fraction)):
-        raise TypeError(f"exact arithmetic only; got {type(q).__name__}")
+    if not isinstance(q, int):  # an int passes without importing fractions
+        from fractions import Fraction
+        if not isinstance(q, Fraction):
+            raise TypeError(f"exact arithmetic only; got {type(q).__name__}")
     return q
 
 
 def rational_binom(y: Scalar, n: int) -> Fraction:
     """Falling factorial y(y-1)...(y-n+1)/n! over exact rationals."""
+    from fractions import Fraction
     _require_exact(y)
     out = Fraction(1)
     for m in range(n):
@@ -466,13 +470,14 @@ def generated_closure(partition: ClassPartition) -> ClosureReport:
 
     If the identity's class is {e}, C_g V lies in V and the powers 1, C_g,
     ..., C_g^(K-1) have rank K, then V = Q[C_g] is a commutative subalgebra,
-    and C_j = sum_i a[j][i] C_g^i gives every C_j C_k from the products
-    C_g C_k.  Candidates g go in ascending (size, label) order, each
-    checked against the pairs cap before its first row; the first of rank
-    K generates.  ``_class_rows`` packs every (C_g C_k)(p) into one acc[p],
-    so C_g V lies in V iff acc is constant on each class.  Otherwise, or if
-    no candidate reaches rank K, the report is ``verify_closure``'s, with
-    the compositions of both routes.
+    and C_j = sum_i adj[j][i] C_g^i / det gives every C_j C_k from the
+    products C_g C_k, an exact division by det.  Candidates g go in
+    ascending (size, label) order, each checked against the pairs cap
+    before its first row; the first of rank K generates.  ``_class_rows``
+    packs every (C_g C_k)(p) into one acc[p], so C_g V lies in V iff acc
+    is constant on each class.  Otherwise, or if no candidate reaches rank
+    K, the report is ``verify_closure``'s, with the compositions of both
+    routes.
     """
     classes = [info.ranks for info in partition.classes]
     K = len(classes)
@@ -490,34 +495,40 @@ def generated_closure(partition: ClassPartition) -> ClosureReport:
         for _ in range(1, K):
             powers.append([[sum(map(mul, row, column)) for column in zip(*L)]
                            for row in powers[-1]])
-        rank, a = _rank_inverse([power[unit] for power in powers])
+        rank, inverse = _rank_inverse([power[unit] for power in powers])
         if rank == K:
-            tensor = [[[sum(a[j][i] * powers[i][k][l] for i in range(K))
-                        for l in range(K)] for k in range(K)] for j in range(K)]
-            assert all(x.denominator == 1 for m in tensor for row in m for x in row)
-            tensor = [[list(map(int, row)) for row in m] for m in tensor]
+            det, adj = inverse
+            tensor = [[[sum(map(mul, a, column)) for column in zip(*rows)]
+                       for rows in zip(*powers)] for a in adj]
+            if any(x % det for m in tensor for row in m for x in row):
+                raise ArithmeticError("structure constants are not integers")
+            tensor = [[[x // det for x in row] for row in m] for m in tensor]
             return ClosureReport((), tensor, products, partition.classes[g].label)
     report = verify_closure(partition)
     return ClosureReport(report.failures, report.tensor, products + report.products)
 
 
-def _rank_inverse(rows: Sequence[Sequence[int]]) -> tuple[int, Optional[list]]:
-    """The rank of a square matrix over Q by Gauss-Jordan elimination, and
-    its inverse when the rank is full, else None."""
+def _rank_inverse(rows: Sequence[Sequence[int]]) -> tuple[int, Optional[tuple]]:
+    """The rank of a square integer matrix P and, at full rank, (det P,
+    det P * P^-1), else None, by fraction-free Gauss-Jordan elimination
+    (Bareiss): every entry stays a minor of [P | I], so each division by the
+    previous pivot is exact, and the last pivot is det P up to swap signs."""
     K = len(rows)
-    work = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(K)]
-            for i, row in enumerate(rows)]
-    rank = 0
+    work = [list(row) + [int(i == j) for j in range(K)] for i, row in enumerate(rows)]
+    rank, prev, sign = 0, 1, 1
     for col in range(K):
         pivot = next((i for i in range(rank, K) if work[i][col]), None)
         if pivot is None:
             continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        top = [x / work[rank][col] for x in work[rank]]
-        work = [top if i == rank else [x - row[col] * y for x, y in zip(row, top)]
+        if pivot != rank:
+            work[rank], work[pivot], sign = work[pivot], work[rank], -sign
+        top = work[rank]
+        work = [top if i == rank else
+                [(top[col] * x - row[col] * y) // prev for x, y in zip(row, top)]
                 for i, row in enumerate(work)]
-        rank += 1
-    return rank, [row[K:] for row in work] if rank == K else None
+        rank, prev = rank + 1, top[col]
+    adj = [[sign * x for x in row[K:]] for row in work]
+    return rank, (sign * prev, adj) if rank == K else None
 
 
 def verify_closure(partition: ClassPartition) -> ClosureReport:
@@ -554,7 +565,7 @@ def collapsed_product(
 ) -> tuple:
     """Coordinates of the product of two span elements via the tensor."""
     K = len(tensor)
-    out = [Fraction(0)] * K
+    out = [0] * K
     for j in range(K):
         if x[j] == 0:
             continue
@@ -585,17 +596,21 @@ def _phi_class_coefficients(n: int, x: Scalar) -> dict[int, Scalar]:
     _require_exact(x)
     if isinstance(x, int) and x >= 0:
         return {d: math.comb(x + n - d, n) for d in range(n + 1)}
-    return {d: rational_binom(Fraction(x) + n - d, n) for d in range(n + 1)}
+    return {d: rational_binom(x + n - d, n) for d in range(n + 1)}
 
 
 def idempotent_class_table(r: int, n: int) -> list[list[Fraction]]:
-    """alpha[i][d]: coefficient of x^i in C((x-1)/r + n - d, n).
+    """alpha[i][d]: coefficient of x^i in C((x-1)/r + n - d, n)."""
+    from fractions import Fraction
+    rows, scale = _idempotent_numerators(r, n)
+    return [[Fraction(x, scale) for x in row] for row in rows]
 
-    r^n n! C((x-1)/r + n - d, n) is the integer polynomial
-    P_d = prod_{u=1-d..n-d} (x - 1 + r u).  P_0 is one product, and
-    P_{d+1} = P_d (x - 1 - r d) / (x - 1 + r(n - d)), one exact synthetic
-    division; the table is divided by r^n n! only at the end.
-    """
+
+def _idempotent_numerators(r: int, n: int) -> tuple[list[list[int]], int]:
+    """``idempotent_class_table`` over its scale r^n n!: rows[i][d] is the
+    coefficient of x^i in P_d = r^n n! C((x-1)/r + n - d, n) = prod_{u=1-d..n-d}
+    (x - 1 + r u).  P_0 is one product, and P_{d+1} = P_d (x - 1 - r d) /
+    (x - 1 + r(n - d)), one exact synthetic division."""
     if r < 1 or n < 0:
         raise ValueError("need r >= 1 and n >= 0")
 
@@ -612,10 +627,10 @@ def idempotent_class_table(r: int, n: int) -> list[list[Fraction]]:
         column, carry = [0] * (n + 1), 0
         for i in range(n, -1, -1):
             carry = column[i] = product[i + 1] - e * carry
-        assert product[0] == e * carry, "synthetic division left a remainder"
+        if product[0] != e * carry:
+            raise ArithmeticError("synthetic division left a remainder")
         columns.append(column)
-    scale = r**n * math.factorial(n)
-    return [[Fraction(column[i], scale) for column in columns] for i in range(n + 1)]
+    return [list(row) for row in zip(*columns)], r**n * math.factorial(n)
 
 
 def eulerian_idempotents(

@@ -11,19 +11,18 @@ import itertools
 import os
 import random
 from collections import Counter
-from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Callable
 
 from .algebra import (
     ClassPartition,
+    _idempotent_numerators,
     _phi_class_coefficients,
     collapsed_product,
     des_partition,
     desset_partition,
     generated_closure,
     generated_products,
-    idempotent_class_table,
     mr_partition,
     tensor_mass_check,
     variant_partition,
@@ -566,39 +565,38 @@ def suite_idempotents(
         if not closure.passed:
             report.failures.append({"r": rr, "n": nn, "closure": False})
             continue
-        # c_i in class coordinates: alpha[i][d] on each realized class C_d
-        table = idempotent_class_table(rr, nn)
-        coords = [tuple(row[info.label] for info in partition.classes) for row in table]
-        zero = tuple(Fraction(0) for _ in partition.classes)
+        # c_i = A_i / D in class coordinates, A[i][d] on each realized class
+        # C_d; c_i c_j = delta_ij c_i iff A_i A_j = delta_ij D A_i
+        rows, D = _idempotent_numerators(rr, nn)
+        coords = [tuple(row[info.label] for info in partition.classes) for row in rows]
         for i in range(nn + 1):
             for j in range(nn + 1):
                 prod = collapsed_product(coords[i], coords[j], closure.tensor)
-                want = coords[i] if i == j else zero
+                want = tuple(D * v if i == j else 0 for v in coords[i])
                 report.checks += 1
                 if prod != want:
-                    report.failures.append(
-                        {"r": rr, "n": nn, "i": i, "j": j, "product": [str(v) for v in prod]}
-                    )
+                    from fractions import Fraction
+                    product = [str(Fraction(v, D * D)) for v in prod]
+                    report.failures.append(dict(r=rr, n=nn, i=i, j=j, product=product))
         # sum c_i = e iff the class holding e (rank 0) is {e} and the column
-        # sums of coords are that class's indicator
+        # sums of coords are D times that class's indicator
         unit = [int(0 in info.ranks) for info in partition.classes]
         report.checks += 1
-        if [sum(column) for column in zip(*coords)] != unit or (
+        if [sum(column) for column in zip(*coords)] != [D * u for u in unit] or (
             partition.classes[unit.index(1)].size != 1
         ):
             report.failures.append({"r": rr, "n": nn, "sum": "not identity"})
         # the top idempotent is the uniform average over the group; the
         # classes tile the group, so each realized class carries 1/|G|
-        uniform = Fraction(1, group_order(rr, nn))
         report.checks += 1
-        if any(c != uniform for c in coords[nn]):
+        if any(c * group_order(rr, nn) != D for c in coords[nn]):
             report.failures.append({"r": rr, "n": nn, "top": "not uniform"})
         if (rr, nn) == (5, 3):
             report.checks += 1
             failed = len(report.failures)
             for i, nums in REFERENCE_IDEMPOTENTS_5_3.items():
-                if [table[i][d] for d in range(4)] != [
-                    Fraction(v, REFERENCE_DENOMINATOR_5_3) for v in nums
+                if [rows[i][d] * REFERENCE_DENOMINATOR_5_3 for d in range(4)] != [
+                    v * D for v in nums
                 ]:
                     report.failures.append({"r": 5, "n": 3, "table_row": i})
             if len(report.failures) == failed:

@@ -1,8 +1,9 @@
 import math
 import pickle
+import random
 from collections import Counter
 from fractions import Fraction
-from operator import itemgetter
+from operator import itemgetter, mul
 
 import pytest
 from hypothesis import given, settings
@@ -361,6 +362,28 @@ def reference_closure_failures(partition):
     return tuple(failures)
 
 
+def fraction_rank_inverse(rows):
+    """Oracle: Gauss-Jordan elimination over Fractions, giving the rank, the
+    determinant and, at full rank, the inverse."""
+    K = len(rows)
+    work = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(K)]
+            for i, row in enumerate(rows)]
+    rank, det = 0, Fraction(1)
+    for col in range(K):
+        pivot = next((i for i in range(rank, K) if work[i][col]), None)
+        if pivot is None:
+            det = Fraction(0)
+            continue
+        if pivot != rank:
+            work[rank], work[pivot], det = work[pivot], work[rank], -det
+        det *= work[rank][col]
+        top = [x / work[rank][col] for x in work[rank]]
+        work = [top if i == rank else [x - row[col] * y for x, y in zip(row, top)]
+                for i, row in enumerate(work)]
+        rank += 1
+    return rank, det, [row[K:] for row in work]
+
+
 class TestClosure:
     def test_descent_partition_closed(self):
         report = verify_closure(des_partition(2, 2))
@@ -421,6 +444,53 @@ class TestClosure:
         assert report.passed and report.generator is None
         assert report.tensor == full.tensor
         assert report.products == 48 * (1 + 1 + 23 + 23) + full.products
+
+    def test_inconsistent_inverse_raises(self, monkeypatch):
+        # a (det, adj) that is not (det P, det P * P^-1) leaves a remainder
+        # in the tensor, which must raise, not truncate
+        def inconsistent(rows):
+            K = len(rows)
+            return K, (7, [[int(i == j) for j in range(K)] for i in range(K)])
+
+        monkeypatch.setattr(colored_descents.algebra, "_rank_inverse", inconsistent)
+        with pytest.raises(ArithmeticError, match="^structure constants are not integers$"):
+            generated_closure(des_partition(2, 3))
+
+    @pytest.mark.parametrize("seed", range(48))
+    def test_rank_inverse_matches_fraction_elimination(self, seed):
+        rng = random.Random(seed)
+        K, bound = rng.randint(1, 8), 10 ** rng.randint(1, 6)
+        rows = [[rng.randint(-bound, bound) for _ in range(K)] for _ in range(K)]
+        kind = seed % 4
+        if kind == 1:  # singular: the last row a combination of two rows
+            a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+            rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[(K - 1) // 2])]
+        elif kind == 2 and K > 1:  # full rank, a row swap needed at some step
+            # a shuffled upper triangle with a nonzero diagonal
+            rows = [[x if j > i else 0 for j, x in enumerate(row)]
+                    for i, row in enumerate(rows)]
+            for i in range(K):
+                rows[i][i] = rng.choice([-1, 1]) * rng.randint(1, bound)
+            order = list(range(K))
+            while order == sorted(order):
+                rng.shuffle(order)
+            rows = [rows[i] for i in order]
+        elif kind == 3 and K > 1:  # a column that depends on earlier ones
+            c, k = rng.randint(1, K - 1), rng.randint(-2, 2)
+            for row in rows:
+                row[c] = k * sum(row[:c])
+        rank, inverse = colored_descents.algebra._rank_inverse(rows)
+        want_rank, det, inv = fraction_rank_inverse(rows)
+        assert rank == want_rank
+        if K > 1 and kind:
+            assert (rank == K) == (kind == 2)
+        if rank < K:
+            assert inverse is None and det == 0
+            return
+        assert inverse == (det, [[det * x for x in row] for row in inv])
+        adj = inverse[1]
+        assert [[sum(map(mul, row, column)) for column in zip(*rows)]
+                for row in adj] == [[det * (i == j) for j in range(K)] for i in range(K)]
 
     @pytest.mark.parametrize("r, n", [(2, 3), (3, 3), (2, 4)])
     def test_moved_member_fails_like_the_pair_check(self, r, n):

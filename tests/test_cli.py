@@ -259,6 +259,35 @@ class TestExitCodes:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[0, 0, 0, 0] []"
 
+    def test_passing_verify_runs_load_no_fractions(self):
+        # the descent-algebra checks run in integers, and Fraction is built
+        # only to format a failing idempotent product
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(colored_descents.__file__).parents[1]), env.get("PYTHONPATH", "")]
+        )
+        code = (
+            "import io, sys, contextlib; from colored_descents.cli import main\n"
+            "codes = []\n"
+            "for argv in (['closure-des', '--r', '2', '--n', '3'],\n"
+            "             ['phi', '--r', '2', '--n', '3'],\n"
+            "             ['idempotents', '--r', '5', '--n', '3'],\n"
+            "             ['closure-mr', '--r', '2', '--n', '2'],\n"
+            "             ['zigzag', '--r', '2', '--n', '2'],\n"
+            "             ['ftcpp', '--r', '2', '--cases', '5', '--seed', '0'],\n"
+            "             ['barred', '--r', '2', '--n', '2'],\n"
+            "             ['order-poly', '--r', '2', '--n', '2']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        codes.append(main(['verify', *argv, '--jobs', '1']))\n"
+            "print(codes, sorted({'fractions', 'decimal'} & set(sys.modules)))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[0, 0, 0, 0, 0, 0, 0, 0] []"
+
     def test_package_exports_resolve_from_their_modules(self):
         names = colored_descents._EXPORTS
         assert sorted(colored_descents.__all__) == sorted(names)

@@ -2,7 +2,6 @@ import concurrent.futures
 import json
 import os
 from collections import Counter
-from fractions import Fraction
 
 import pytest
 
@@ -180,17 +179,18 @@ TOP = {"r": 2, "n": 2, "top": "not uniform"}
 ])
 def test_idempotents_catch_a_perturbed_table(monkeypatch, entry, records):
     # the records are those of checking the idempotents as whole-group
-    # elements, built from the same perturbed table
-    original = colored_descents.algebra.idempotent_class_table
+    # elements, built from the same perturbed table; 1/7 is added to the
+    # entry as scale over 7 * scale
+    original = verify._idempotent_numerators
 
     def perturbed(r, n):
-        table = original(r, n)
+        rows, scale = original(r, n)
+        rows = [[7 * x for x in row] for row in rows]
         i, d = entry
-        table[i][d] += Fraction(1, 7)
-        return table
+        rows[i][d] += scale
+        return rows, 7 * scale
 
-    monkeypatch.setattr(colored_descents.algebra, "idempotent_class_table", perturbed)
-    monkeypatch.setattr(verify, "idempotent_class_table", perturbed)
+    monkeypatch.setattr(verify, "_idempotent_numerators", perturbed)
     report = run_suite("idempotents", r=2, n=2)
     assert report.checks == 11
     assert report.failures == records

@@ -314,68 +314,51 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if report.passed else EXIT_VERIFICATION
 
 
-def _idempotent_chunks(record: dict) -> Iterator[str]:
-    """``_dump_json(record)`` of an idempotent table, one chunk per row.  A
-    table has n + 1 rows of n + 1 classes, so no array in it is empty, and
-    its strings are decimals, which need no escaping."""
-    yield (f'{{\n  "common_denominator": "{record["common_denominator"]}",'
-           f'\n  "idempotents": [\n    ')
-    sep = ""
-    for row in record["idempotents"]:
-        classes = ",\n        ".join([
-            f'{{\n          "den": "{c["den"]}",\n          "des": {c["des"]},'
-            f'\n          "num": "{c["num"]}"\n        }}'
-            for c in row["by_des_class"]
-        ])
-        yield (f'{sep}{{\n      "by_des_class": [\n        {classes}\n      ],'
-               f'\n      "i": {row["i"]}\n    }}')
-        sep = ",\n    "
-    yield f'\n  ],\n  "n": {record["n"]},\n  "r": {record["r"]}\n}}\n'
-
-
 def cmd_idempotents(args: argparse.Namespace) -> int:
-    from .algebra import idempotent_class_table
+    from .algebra import _idempotent_numerators
     r = args.r if args.r is not None else 5
     n = args.n if args.n is not None else 3
-    table = idempotent_class_table(r, n)
-    common = math.lcm(*(c.denominator for row in table for c in row))
+    # every column of the numerators is monic, so the top row is 1/scale
+    # throughout and scale = |G| is the table's least common denominator
+    rows, scale = _idempotent_numerators(r, n)
+
+    def lowest(x: int) -> tuple[int, int]:
+        g = math.gcd(scale, x)
+        return x // g, scale // g
+
     if args.format == "json":
-        record = {
-            "r": r,
-            "n": n,
-            "idempotents": [
-                {
-                    "i": i,
-                    "by_des_class": [
-                        {"des": d, "num": str(c.numerator), "den": str(c.denominator)}
-                        for d, c in enumerate(row)
-                    ],
-                }
-                for i, row in enumerate(table)
-            ],
-            "common_denominator": str(common),
-        }
-        schemas.validate(record, "idempotent_table")
-        _emit(_idempotent_chunks(record), args.output)
+        head = {"r": r, "n": n, "common_denominator": str(scale)}
+        # the table's text before and after its rows, cut at a placeholder
+        # row: every other value in a table is a number or a decimal string
+        before, after = _dump_json({**head, "idempotents": [None]}).split("null")
+
+        def chunks() -> Iterator[str]:
+            sep = before
+            for i, xs in enumerate(rows):
+                row = {"i": i, "by_des_class": [
+                    {"des": d, "num": str(num), "den": str(den)}
+                    for d, (num, den) in enumerate(map(lowest, xs))
+                ]}
+                schemas.validate({**head, "idempotents": [row]}, "idempotent_table")
+                yield sep + json.dumps(row, indent=2, sort_keys=True).replace("\n", "\n    ")
+                sep = ",\n    "
+            yield after
+
+        _emit(chunks(), args.output)
     elif args.format == "csv":
-        lines = [_csv_line(["i", "des", "coefficient"])]
-        for i, row in enumerate(table):
-            for d, c in enumerate(row):
-                lines.append(_csv_line([i, d, f"{c.numerator}/{c.denominator}"]))
-        _emit(lines, args.output)
+        _emit(itertools.chain([_csv_line(["i", "des", "coefficient"])], (
+            _csv_line([i, d, "{}/{}".format(*lowest(x))])
+            for i, xs in enumerate(rows) for d, x in enumerate(xs)
+        )), args.output)
     else:
-        lines = []
-        for i, row in enumerate(table):
-            text = ""
-            for d, c in enumerate(row):
-                scaled = c * common
-                sign = "-" if scaled < 0 else "+"
-                term = f"{abs(scaled)} C_{d}"
-                text = f"{text} {sign} {term}" if text else (
-                    term if sign == "+" else f"-{term}"
-                )
-            lines.append(f"c_{i} = (1/{common})({text})\n")
-        _emit(lines, args.output)
+        def line(i: int, xs: list[int]) -> str:
+            terms = " ".join(
+                f"{'-' if x < 0 else '+'} {abs(x)} C_{d}" for d, x in enumerate(xs)
+            )
+            text = terms[2:] if terms[0] == "+" else f"-{terms[2:]}"
+            return f"c_{i} = (1/{scale})({text})\n"
+
+        _emit(itertools.starmap(line, enumerate(rows)), args.output)
     return EXIT_OK
 
 

@@ -22,6 +22,37 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# an independent route to the idempotent tables for the byte tests: the
+# Fraction table of algebra.idempotent_class_table, whose entries are in
+# lowest terms, and the lcm of their denominators
+IDEMPOTENT_GROUPS = [(1, 0), (1, 1), (1, 3), (2, 3), (3, 7), (5, 3), (5, 20)]
+
+
+def _fraction_table(r, n):
+    table = idempotent_class_table(r, n)
+    return table, math.lcm(*(c.denominator for row in table for c in row))
+
+
+def _reference_json(r, n):
+    table, common = _fraction_table(r, n)
+    record = {
+        "r": r,
+        "n": n,
+        "idempotents": [
+            {
+                "i": i,
+                "by_des_class": [
+                    {"des": d, "num": str(c.numerator), "den": str(c.denominator)}
+                    for d, c in enumerate(row)
+                ],
+            }
+            for i, row in enumerate(table)
+        ],
+        "common_denominator": str(common),
+    }
+    return json.dumps(record, indent=2, sort_keys=True) + "\n"
+
+
 class TestEnumerate:
     def test_row_count(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--r", "2", "--n", "2")
@@ -454,32 +485,29 @@ class TestArtifacts:
         c0 = table["idempotents"][0]["by_des_class"]
         assert (c0[0]["num"], c0[0]["den"]) == ("84", "125")
 
-    @pytest.mark.parametrize("r, n", [(1, 0), (1, 3), (2, 3), (5, 3), (5, 20)])
+    @pytest.mark.parametrize("r, n", IDEMPOTENT_GROUPS)
     def test_idempotent_table_json_bytes(self, capsys, r, n):
         # the table is written row by row; the bytes are those of the
         # indented encoder over the whole record
-        table = idempotent_class_table(r, n)
-        common = math.lcm(*(c.denominator for row in table for c in row))
-        record = {
-            "r": r,
-            "n": n,
-            "idempotents": [
-                {
-                    "i": i,
-                    "by_des_class": [
-                        {"des": d, "num": str(c.numerator), "den": str(c.denominator)}
-                        for d, c in enumerate(row)
-                    ],
-                }
-                for i, row in enumerate(table)
-            ],
-            "common_denominator": str(common),
-        }
         code, out, _ = run(
             capsys, "idempotents", "--r", str(r), "--n", str(n), "--format", "json"
         )
         assert code == 0
-        assert out == json.dumps(record, indent=2, sort_keys=True) + "\n"
+        assert out == _reference_json(r, n)
+
+    @pytest.mark.parametrize("r, n", IDEMPOTENT_GROUPS)
+    def test_idempotent_table_csv_bytes(self, capsys, r, n):
+        table, _ = _fraction_table(r, n)
+        want = "i,des,coefficient\n" + "".join(
+            f"{i},{d},{c.numerator}/{c.denominator}\n"
+            for i, row in enumerate(table)
+            for d, c in enumerate(row)
+        )
+        code, out, _ = run(
+            capsys, "idempotents", "--r", str(r), "--n", str(n), "--format", "csv"
+        )
+        assert code == 0
+        assert out == want
 
     def test_idempotents_csv_rationals(self, capsys):
         code, out, _ = run(
@@ -488,6 +516,105 @@ class TestArtifacts:
         lines = out.splitlines()
         assert lines[0] == "i,des,coefficient"
         assert lines[1] == "0,0,84/125"
+
+    @pytest.mark.parametrize("r, n", IDEMPOTENT_GROUPS)
+    def test_idempotent_table_text_bytes(self, capsys, r, n):
+        # c_i = (1/common)(sum of integer multiples of the classes C_d),
+        # a leading minus on the first term and " + "/" - " between terms
+        table, common = _fraction_table(r, n)
+        want = ""
+        for i, row in enumerate(table):
+            text = ""
+            for d, c in enumerate(row):
+                scaled = c * common
+                assert scaled.denominator == 1
+                sign = "-" if scaled < 0 else "+"
+                term = f"{abs(scaled.numerator)} C_{d}"
+                if text:
+                    text = f"{text} {sign} {term}"
+                else:
+                    text = term if sign == "+" else f"-{term}"
+            want += f"c_{i} = (1/{common})({text})\n"
+        code, out, _ = run(capsys, "idempotents", "--r", str(r), "--n", str(n))
+        assert code == 0
+        assert out == want
+
+    def test_idempotent_text_signs(self, capsys, monkeypatch):
+        # no real table starts a row with a negative entry, since P_0 has
+        # nonnegative coefficients, so a made-up one pins that format
+        monkeypatch.setattr(
+            "colored_descents.algebra._idempotent_numerators",
+            lambda r, n: ([[-3, 0, 2], [2, -1, -1], [1, 1, 1]], 6),
+        )
+        code, out, _ = run(capsys, "idempotents", "--r", "3", "--n", "2")
+        assert code == 0
+        assert out == (
+            "c_0 = (1/6)(-3 C_0 + 0 C_1 + 2 C_2)\n"
+            "c_1 = (1/6)(2 C_0 - 1 C_1 - 1 C_2)\n"
+            "c_2 = (1/6)(1 C_0 + 1 C_1 + 1 C_2)\n"
+        )
+
+    def test_idempotent_json_stops_at_a_bad_row(self, capsys, monkeypatch):
+        # each row is validated before it is written, so a bad row stops
+        # the stream after the rows before it
+        real = schemas.validate
+        rows = []
+
+        def third_row_is_bad(doc, name):
+            (row,) = doc["idempotents"]
+            rows.append(row["i"])
+            real(dict(doc, idempotents=[dict(row, i=-1)]) if row["i"] == 2 else doc, name)
+
+        monkeypatch.setattr(schemas, "validate", third_row_is_bad)
+        with pytest.raises(schemas.SchemaError, match=r"^\$\.idempotents\[0\]\.i: fails"):
+            main(["idempotents", "--r", "5", "--n", "3", "--format", "json"])
+        out = capsys.readouterr().out
+        assert rows == [0, 1, 2]
+        assert out.count('"i": ') == 2 and out.endswith('"i": 1\n    }')
+        assert _reference_json(5, 3).startswith(out)
+
+    def test_idempotent_json_validates_each_row_under_the_table_head(
+        self, capsys, monkeypatch
+    ):
+        real = schemas.validate
+        checked = []
+
+        def record(doc, name):
+            (row,) = doc["idempotents"]
+            head = {k: doc[k] for k in ("r", "n", "common_denominator")}
+            checked.append((name, row["i"], head))
+            real(doc, name)
+
+        monkeypatch.setattr(schemas, "validate", record)
+        code, out, _ = run(
+            capsys, "idempotents", "--r", "3", "--n", "7", "--format", "json"
+        )
+        assert code == 0
+        # a clean run checks n + 1 rows, each under the table's own head
+        table = json.loads(out)
+        head = {k: table[k] for k in ("r", "n", "common_denominator")}
+        assert head["common_denominator"] == str(3**7 * math.factorial(7))
+        assert checked == [("idempotent_table", i, head) for i in range(8)]
+
+    def test_idempotents_load_no_fractions(self):
+        # the table is written from the integer numerators in every format
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(colored_descents.__file__).parents[1]), env.get("PYTHONPATH", "")]
+        )
+        code = (
+            "import io, sys, contextlib; from colored_descents.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [main(['idempotents', '--r', '3', '--n', '7', '--format', fmt])\n"
+            "             for fmt in ('json', 'csv', 'text')]\n"
+            "print(codes, sorted({'fractions', 'decimal'} & set(sys.modules)))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[0, 0, 0] []"
 
     def test_eulerian_poly(self, capsys):
         code, out, _ = run(capsys, "eulerian-poly", "--r", "2", "--n", "2")

@@ -257,9 +257,10 @@ def partition_by(
     """Classes of the words of G(r, n) with equal ``label_fn(word)``, read
     off one walk of the group in rank order and sorted by label.
 
-    label_fn must read only the colors and where the values descend, as
-    every descent statistic does: ``group._word_stats`` calls it once per
-    (value-descent flags, color vector), not once per word."""
+    label_fn must read only the colors and the value descents between
+    neighbours of equal color, as every descent statistic does:
+    ``group._word_stats`` calls it once per run composition,
+    r·(r+1)^(n-1) times, not once per word."""
     by_label: dict[object, list[int]] = {}
     for rank, label in enumerate(_word_stats(r, n, label_fn, max_size)):
         by_label.setdefault(label, []).append(rank)

@@ -83,28 +83,29 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="write to this file instead of stdout")
 
 
-def build_parser() -> _Parser:
+def _add_verify(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("suite")  # run_suite names the suites when it refuses one
+    _add_common(parser)
+
+
+def _add_order_poly(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--pi", type=str, default=_env("pi"), help="one-line word like '2_1 1_1'")
+    _add_common(parser)
+
+
+def build_parser(argv: Sequence[str]) -> _Parser:
+    """The parser of a command line.  Only the command that argv names, its
+    first token not starting with "-", gets its arguments; every other
+    command is added bare, with its help, so the top-level help, --version
+    and the unknown-command error read as with every command built."""
+    command = next((token for token in argv if not token.startswith("-")), None)
     parser = _Parser(prog="colored-descents", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("enumerate", help="list group elements with statistics")
-    _add_common(p)
-
-    p = sub.add_parser("verify", help="run a named verification suite")
-    p.add_argument("suite")  # run_suite names the suites when it refuses one
-    _add_common(p)
-
-    p = sub.add_parser("idempotents", help="emit the orthogonal idempotent table")
-    _add_common(p)
-
-    p = sub.add_parser("eulerian-poly", help="emit descent-number coefficients")
-    _add_common(p)
-
-    p = sub.add_parser("order-poly", help="evaluate the order polynomial of a word")
-    p.add_argument("--pi", type=str, default=_env("pi"), help="one-line word like '2_1 1_1'")
-    _add_common(p)
-
+    for name, (text, add_arguments, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        if name == command:
+            add_arguments(p)
     return parser
 
 
@@ -208,7 +209,9 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     def stat(w: Word):
         """The record fields of w other than its rank and letters; des and
         intdes are read off the one descent set, intdes dropping position n.
-        In JSON they come with the record's text up to its first letter."""
+        In JSON they come with the record's text up to its first letter.
+        Every field is a function of w's run composition, so the factor walk
+        calls this once per run composition, r·(r+1)^(n-1) times."""
         dset = descent_positions(w)
         des, intdes, parts = len(dset), len(dset) - (n in dset), _run_parts(w)
         if fmt == "json":
@@ -414,21 +417,24 @@ def cmd_order_poly(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# name: (help, the adder of its arguments, its runner)
 _COMMANDS = {
-    "enumerate": cmd_enumerate,
-    "verify": cmd_verify,
-    "idempotents": cmd_idempotents,
-    "eulerian-poly": cmd_eulerian_poly,
-    "order-poly": cmd_order_poly,
+    "enumerate": ("list group elements with statistics", _add_common, cmd_enumerate),
+    "verify": ("run a named verification suite", _add_verify, cmd_verify),
+    "idempotents": ("emit the orthogonal idempotent table", _add_common, cmd_idempotents),
+    "eulerian-poly": ("emit descent-number coefficients", _add_common, cmd_eulerian_poly),
+    "order-poly": ("evaluate the order polynomial of a word", _add_order_poly,
+                   cmd_order_poly),
 }
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
         _validate_common(args)
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][2](args)
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

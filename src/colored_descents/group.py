@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from operator import gt, itemgetter
+from operator import eq, gt, itemgetter
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 DEFAULT_MAX_GROUP_SIZE = 10_000_000
@@ -215,25 +215,37 @@ def _word_stats(
     max_size: int = DEFAULT_MAX_GROUP_SIZE,
 ) -> Iterator:
     """``map(stat, group_words(r, n, max_size))`` for a stat that reads only
-    the colors and where the values descend.
+    the colors and the value descents between neighbours of equal color.
 
     Color-first, letters i and i+1 compare by their values only when their
     colors are equal, and a frame letter 0_a or 0_b meets only the first or
     last color; so every descent set, descent count and run composition is
-    a function of the value-descent flags and the color vector.  stat runs
-    on the words of the first permutation with given flags, and that row is
-    yielded again for every later permutation with the same flags: at most
-    2^(n-1)·r^n calls against r^n·n! words.  The order is checked against
-    the cap at the call, before any word.
+    a function of the run composition: the color vector, and the value
+    descents at the positions where it repeats a color.  stat runs once per
+    run composition, r·(r+1)^(n-1) calls against r^n·n! words.  The row of
+    a permutation's statistics is built once per value-descent flags, and
+    yielded again for every later permutation with the same flags.  The
+    order is checked against the cap at the call, before any word.
     """
     _check_order(r, n, max_size)
+    bits = [1 << i for i in range(n - 1)]
+    # bit i of same[c]: letters i and i+1 share a color, for the color
+    # vectors in _letter_walk's order
+    same = [sum(itertools.compress(bits, map(eq, c, c[1:])))
+            for c in itertools.product(range(r), repeat=n)]
+    seen: dict[tuple[int, int], object] = {}
     rows: dict[tuple[bool, ...], list] = {}
 
     def row(values: tuple[int, ...], words: Iterator[Word]) -> list:
         flags = tuple(map(gt, values, values[1:]))
         stats = rows.get(flags)
         if stats is None:
-            stats = rows[flags] = list(map(stat, words))
+            descents = sum(itertools.compress(bits, flags))
+            stats = rows[flags] = []
+            for key, word in zip(enumerate(descents & m for m in same), words):
+                if key not in seen:
+                    seen[key] = stat(word)
+                stats.append(seen[key])
         return stats
 
     return itertools.chain.from_iterable(itertools.starmap(row, _letter_walk(r, n)))

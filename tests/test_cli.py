@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import colored_descents
-from colored_descents import schemas
+from colored_descents import cli, schemas
 from colored_descents.algebra import idempotent_class_table
 from colored_descents.cli import main
 from colored_descents.verify import SUITE_NAMES, SuiteReport, run_suite
@@ -697,6 +697,66 @@ class TestArtifacts:
         )
         assert code == 0
         schemas.validate(json.loads(target.read_text()), "idempotent_table")
+
+
+def _every_command_parser():
+    """The CLI's parser with the arguments of every command, which is how
+    each process built it before the CLI built only the invoked command's."""
+    parser = cli._Parser(prog="colored-descents", description=cli.__doc__)
+    parser.add_argument("--version", action="version", version=colored_descents.__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, text in (
+        ("enumerate", "list group elements with statistics"),
+        ("verify", "run a named verification suite"),
+        ("idempotents", "emit the orthogonal idempotent table"),
+        ("eulerian-poly", "emit descent-number coefficients"),
+        ("order-poly", "evaluate the order polynomial of a word"),
+    ):
+        p = sub.add_parser(name, help=text)
+        if name == "verify":
+            p.add_argument("suite")
+        if name == "order-poly":
+            p.add_argument("--pi", type=str, help="one-line word like '2_1 1_1'")
+        p.add_argument("--r", type=int)
+        p.add_argument("--n", type=int)
+        p.add_argument("--j", type=str, help="single value or inclusive range like 0..3")
+        p.add_argument("--k", type=int)
+        p.add_argument("--seed", type=int)
+        p.add_argument("--cases", type=int)
+        p.add_argument("--jobs", type=int)
+        p.add_argument("--max-group-size", type=int)
+        p.add_argument("--format", choices=("json", "csv", "text"))
+        p.add_argument("--output", "-o", type=str, help="write to this file instead of stdout")
+    return parser
+
+
+class TestParser:
+    @pytest.mark.parametrize("command", [
+        [], ["enumerate"], ["verify"], ["idempotents"], ["eulerian-poly"], ["order-poly"],
+    ], ids=str)
+    def test_help_reads_as_with_every_command_built(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exit_info:
+            main([*command, "--help"])
+        assert exit_info.value.code == 0
+        reference = _every_command_parser()
+        for name in command:
+            reference = reference._subparsers._group_actions[0].choices[name]
+        assert capsys.readouterr().out == reference.format_help()
+
+    def test_version_and_command_errors_read_as_with_every_command_built(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--version"])
+        assert capsys.readouterr().out == f"{colored_descents.__version__}\n"
+        for argv in (["nosuch"], [], ["--r", "3", "enumerate"], ["enumerate", "--bogus"]):
+            with pytest.raises(cli.UsageError) as want:
+                _every_command_parser().parse_args(argv)
+            assert run(capsys, *argv) == (1, "", f"error: {want.value}\n")
+
+    def test_only_the_invoked_command_gets_its_arguments(self):
+        commands = cli.build_parser(["--version", "verify", "closure-des"])
+        commands = commands._subparsers._group_actions[0].choices
+        assert [name for name, p in commands.items() if len(p._actions) > 1] == ["verify"]
 
 
 class TestEnvOverrides:

@@ -20,9 +20,11 @@ from colored_descents.group import (
 )
 from colored_descents.schemas import SchemaError
 
-# (2,4) and (1,5) give many permutations one value-descent pattern, so the
-# statistics cached per (pattern, color vector) are reused across them
-GROUPS = ((1, 0), (1, 3), (2, 3), (3, 3), (4, 2), (2, 4), (1, 5))
+# (2,4) and (1,5) give many permutations one value-descent pattern, so a
+# row of statistics is reused across them; (3,4) and (4,3) have many color
+# vectors with a color change, so one run composition's statistics are
+# shared by words of different value-descent patterns
+GROUPS = ((1, 0), (1, 3), (2, 3), (3, 3), (4, 2), (2, 4), (1, 5), (3, 4), (4, 3))
 
 
 def _csv_line(fields):

@@ -1,6 +1,7 @@
 import functools
 import inspect
 import itertools
+import operator
 import pickle
 
 import pytest
@@ -166,15 +167,28 @@ class TestWordStats:
         walked = list(_word_stats(2, 3, first_letter))
         assert walked != list(map(first_letter, group_words(2, 3)))
 
-    def test_calls_the_stat_once_per_flags_and_colors(self):
+    def test_a_stat_that_reads_a_descent_between_colors_disagrees(self):
+        # the walk reuses one word's result for every word with the same
+        # colors and the same value descents between equal colors, so a
+        # stat of the value descents between different colors is not served
+        def flags(w):
+            values = [v for _, v in w]
+            return tuple(map(operator.gt, values, values[1:]))
+
+        walked = list(_word_stats(2, 3, flags))
+        assert walked != list(map(flags, group_words(2, 3)))
+
+    @pytest.mark.parametrize("r,n", WORD_STATS_GROUPS, ids=str)
+    def test_calls_the_stat_once_per_run_composition(self, r, n):
         calls = []
 
         def counting(w):
             calls.append(w)
             return word_des(w)
 
-        assert sum(1 for _ in _word_stats(3, 5, counting)) == 29160 == group_order(3, 5)
-        assert len(calls) == 3888 == 3**5 * 2**4
+        assert sum(1 for _ in _word_stats(r, n, counting)) == group_order(r, n)
+        compositions = {_run_parts(w) for w in group_words(r, n)}
+        assert len(calls) == len(compositions) == (r * (r + 1) ** (n - 1) if n else 1)
 
     def test_checks_cap_at_the_call(self):
         with pytest.raises(SizeCapExceeded):

@@ -155,11 +155,8 @@ def algebra_multiply(
     """
     _check_same_group(a, b)
     size = group_order(a.r, a.n)
-    (u, left_size), (v, right_size) = _common_value(a, size), _common_value(b, size)
-    if left_size * right_size > DEFAULT_MAX_PAIRS:
-        raise SizeCapExceeded(
-            f"product support {left_size}x{right_size} exceeds cap"
-        )
+    (u, left_size), (v, _) = _common_value(a, size), _common_value(b, size)
+    _pairs_cap(left_size * size)  # a row of |G| compositions per element of a'
     table = group_table(a.r, a.n)
     right = [(d, _gather(ranks)) for d, ranks in _value_groups(table, b, v)]
     coeffs: dict[int, Scalar] = {}

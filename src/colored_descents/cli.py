@@ -160,6 +160,11 @@ def _dump_json(obj: object) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def _json_text(obj: object, spaces: int) -> str:
+    """``_dump_json(obj)`` without its newline, as it stands ``spaces`` deep."""
+    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + " " * spaces)
+
+
 def _json_ints(nest, spaces: int) -> str:
     """``json.dumps(nest, indent=2)`` of a list of ints or a nest of such
     lists (tuples render as lists), as it stands ``spaces`` deep in a
@@ -174,16 +179,21 @@ def _json_ints(nest, spaces: int) -> str:
     return f"[{inner}{(',' + inner).join(items)}\n{' ' * spaces}]"
 
 
-def _json_array(rows: Iterable[tuple[dict, str]], schema_name: str) -> Iterator[str]:
-    """``_dump_json`` of the records in chunks, from (record, text) rows
-    whose text is the record as ``_dump_json`` writes it, indented one level
-    into an array; each record is validated before its text is yielded."""
-    sep = "[\n  "
-    for record, text in rows:
-        schemas.validate(record, schema_name)
+def _json_stream(document: object, rows: Iterable[tuple[object, str]],
+                 schema_name: str) -> Iterator[str]:
+    """``_dump_json(document)`` in chunks, its one null replaced by the texts
+    of the (object, text) rows: each object is validated against schema_name
+    before its text, already indented to the depth of the null, is yielded.
+    Every other value in a streamed document is a number or a decimal string,
+    so it dumps with exactly one null; and there is at least one row, since
+    G(r, 0) has one element, a --j range is not empty and a table has n + 1 rows."""
+    sep, after = _dump_json(document).split("null")
+    indent = sep[sep.rindex("\n"):]
+    for obj, text in rows:
+        schemas.validate(obj, schema_name)
         yield sep + text
-        sep = ",\n  "
-    yield "[]\n" if sep == "[\n  " else "\n]\n"
+        sep = "," + indent
+    yield after
 
 
 def _csv_line(fields: Sequence[object]) -> str:
@@ -253,7 +263,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
                 rows, walk(lambda v, c: [v, c]), walk(lambda v, c: _json_ints((v, c), 8))
             )
         )
-        _emit(_json_array(records, "enumerate_record"), args.output)
+        _emit(_json_stream([None], records, "enumerate_record"), args.output)
     elif fmt == "csv":
         header = ["rank", "word", "descent_set", "des", "intdes", "mr_key"]
         _emit(itertools.chain([_csv_line(header)], (
@@ -331,23 +341,14 @@ def cmd_idempotents(args: argparse.Namespace) -> int:
 
     if args.format == "json":
         head = {"r": r, "n": n, "common_denominator": str(scale)}
-        # the table's text before and after its rows, cut at a placeholder
-        # row: every other value in a table is a number or a decimal string
-        before, after = _dump_json({**head, "idempotents": [None]}).split("null")
-
-        def chunks() -> Iterator[str]:
-            sep = before
-            for i, xs in enumerate(rows):
-                row = {"i": i, "by_des_class": [
-                    {"des": d, "num": str(num), "den": str(den)}
-                    for d, (num, den) in enumerate(map(lowest, xs))
-                ]}
-                schemas.validate({**head, "idempotents": [row]}, "idempotent_table")
-                yield sep + json.dumps(row, indent=2, sort_keys=True).replace("\n", "\n    ")
-                sep = ",\n    "
-            yield after
-
-        _emit(chunks(), args.output)
+        table = ({"i": i, "by_des_class": [
+            {"des": d, "num": str(num), "den": str(den)}
+            for d, (num, den) in enumerate(map(lowest, xs))
+        ]} for i, xs in enumerate(rows))
+        # a row is checked as a one-row table, so its path reads $.idempotents[0]
+        _emit(_json_stream({**head, "idempotents": [None]}, (
+            ({**head, "idempotents": [row]}, _json_text(row, 4)) for row in table
+        ), "idempotent_table"), args.output)
     elif args.format == "csv":
         _emit(itertools.chain([_csv_line(["i", "des", "coefficient"])], (
             _csv_line([i, d, "{}/{}".format(*lowest(x))])
@@ -394,26 +395,19 @@ def cmd_order_poly(args: argparse.Namespace) -> int:
     r = args.r if args.r is not None else 2
     pi = parse_one_line(args.pi, r)
     lo, hi = _parse_j_range(args.j)
-    records = [
-        {
-            "op": "order-poly",
-            "params": {"r": r, "pi": str(pi), "j": j},
-            "count": str(omega_pi(pi, j)),
-        }
-        for j in range(lo, hi + 1)
-    ]
+    # each count is written as it is evaluated, so no format holds the range
+    counts = ((j, str(omega_pi(pi, j))) for j in range(lo, hi + 1))
     if args.format == "json":
-        texts = (json.dumps(rec, indent=2, sort_keys=True).replace("\n", "\n  ")
-                 for rec in records)
-        _emit(_json_array(zip(records, texts), "count_record"), args.output)
+        records = ({"op": "order-poly", "params": {"r": r, "pi": str(pi), "j": j},
+                    "count": count} for j, count in counts)
+        _emit(_json_stream([None], ((rec, _json_text(rec, 2)) for rec in records),
+                           "count_record"), args.output)
     elif args.format == "csv":
-        lines = [_csv_line(["j", "count"])]
-        lines.extend(
-            _csv_line([rec["params"]["j"], rec["count"]]) for rec in records
-        )
-        _emit(lines, args.output)
+        _emit(itertools.chain([_csv_line(["j", "count"])], map(_csv_line, counts)),
+              args.output)
     else:
-        _emit([f"[{', '.join(rec['count'] for rec in records)}]\n"], args.output)
+        texts = (c if j == lo else ", " + c for j, c in counts)
+        _emit(itertools.chain(["["], texts, ["]\n"]), args.output)
     return EXIT_OK
 
 

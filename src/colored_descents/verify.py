@@ -16,6 +16,7 @@ from typing import Callable
 
 from .algebra import (
     ClassPartition,
+    _first_difference,
     _idempotent_numerators,
     _phi_class_coefficients,
     collapsed_product,
@@ -497,11 +498,8 @@ def suite_closure_mr(
         partition = mr_partition(rr, nn, max_group_size)
         record, rep = _closure_record(partition, verify_closure)
         # descent number must be constant on every run-composition class
-        order = partition.order
-        des_constant = all(
-            len({word_des(order[p]) for p in info.ranks}) == 1
-            for info in partition.classes
-        )
+        des = list(map(word_des, partition.order))
+        des_constant = _first_difference(partition, des) is None
         record["des_measurable"] = des_constant
         report.checks += 2
         if not rep.passed or not des_constant:

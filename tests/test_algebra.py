@@ -191,6 +191,24 @@ class TestMultiply:
             (pi.letters for pi in enumerate_group(3, 3)), Fraction(1, 2)))
         assert algebra_multiply(total, total) == algebra_scale(total, 81)
 
+    def test_pairs_cap_prices_a_whole_row_per_left_element(self, monkeypatch):
+        # three elements times one delta in G(2, 3): each of the three left
+        # rows composes with all 48 elements, so the product costs 144 pairs,
+        # not 3, and a lower cap refuses it before any row is built
+        elements = list(enumerate_group(2, 3))
+        a = GroupAlgebraElement(2, 3, dict.fromkeys((pi.letters for pi in elements[:3]), 1))
+        b = delta(elements[5])
+        monkeypatch.setattr(colored_descents.algebra, "DEFAULT_MAX_PAIRS", 144)
+        assert algebra_multiply(a, b) == naive_product(a, b)
+
+        def fail(self, s):
+            raise AssertionError("a row was built")
+
+        monkeypatch.setattr(GroupTable, "left_row", fail)
+        monkeypatch.setattr(colored_descents.algebra, "DEFAULT_MAX_PAIRS", 143)
+        with pytest.raises(SizeCapExceeded, match="^144 products exceed cap 143$"):
+            algebra_multiply(a, b)
+
     @given(element_pair())
     @settings(max_examples=80, deadline=None)
     def test_matches_naive_product(self, pair):

@@ -13,6 +13,8 @@ import colored_descents
 from colored_descents import cli, schemas
 from colored_descents.algebra import idempotent_class_table
 from colored_descents.cli import main
+from colored_descents.group import parse_one_line
+from colored_descents.ppartitions import omega_pi
 from colored_descents.verify import SUITE_NAMES, SuiteReport, run_suite
 
 
@@ -51,6 +53,26 @@ def _reference_json(r, n):
         "common_denominator": str(common),
     }
     return json.dumps(record, indent=2, sort_keys=True) + "\n"
+
+
+ORDER_POLY_WORD = "2_1 1_0 3_1"
+
+
+def _order_poly_reference(fmt, lo, hi):
+    """order-poly's output for ORDER_POLY_WORD in G(2, 3) over j = lo..hi,
+    from the whole list of its counts."""
+    pi = parse_one_line(ORDER_POLY_WORD, 2)
+    counts = [(j, str(omega_pi(pi, j))) for j in range(lo, hi + 1)]
+    if fmt == "json":
+        records = [
+            {"op": "order-poly", "params": {"r": 2, "pi": ORDER_POLY_WORD, "j": j},
+             "count": count}
+            for j, count in counts
+        ]
+        return json.dumps(records, indent=2, sort_keys=True) + "\n"
+    if fmt == "csv":
+        return "j,count\n" + "".join(f"{j},{count}\n" for j, count in counts)
+    return "[" + ", ".join(count for _, count in counts) + "]\n"
 
 
 class TestEnumerate:
@@ -673,6 +695,51 @@ class TestArtifacts:
             tracemalloc.stop()
         capsys.readouterr()
         assert code == 0 and peak < 5 * 2**20, peak
+
+    @pytest.mark.parametrize("fmt", ["csv", "text"])
+    def test_order_poly_streams_its_j_range(self, tmp_path, fmt):
+        # each count is written as it is evaluated; the records of 10⁵
+        # values of j held at once take tens of MB.  The output goes to a
+        # file, so that no capture buffer counts towards the peak.
+        target = tmp_path / "counts"
+        argv = ["order-poly", "--pi", ORDER_POLY_WORD, "--r", "2", "--j", "0..100000",
+                "--format", fmt, "--output", str(target)]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and peak < 5 * 2**20, peak
+        last = str(omega_pi(parse_one_line(ORDER_POLY_WORD, 2), 100000))
+        text = target.read_text()
+        if fmt == "csv":
+            assert text.count("\n") == 100002 and text.endswith(f"\n100000,{last}\n")
+        else:
+            assert text.count(", ") == 100000 and text.endswith(f", {last}]\n")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    @pytest.mark.parametrize("j, lo, hi", [("0..30", 0, 30), ("2", 2, 2), ("2..3", 2, 3)])
+    def test_order_poly_bytes(self, capsys, fmt, j, lo, hi):
+        code, out, _ = run(
+            capsys, "order-poly", "--pi", ORDER_POLY_WORD, "--r", "2", "--j", j,
+            "--format", fmt,
+        )
+        assert code == 0
+        assert out == _order_poly_reference(fmt, lo, hi)
+
+    @pytest.mark.parametrize("argv, rows", [
+        (["enumerate", "--r", "2", "--n", "0"], lambda doc: doc),
+        (["idempotents", "--r", "2", "--n", "0"], lambda doc: doc["idempotents"]),
+        (["order-poly", "--pi", ORDER_POLY_WORD, "--r", "2", "--j", "5"], lambda doc: doc),
+    ])
+    def test_one_row_documents_stream_as_whole_dumps(self, capsys, argv, rows):
+        # the smallest input of each streamed command has one row, and its
+        # text is that of the indented encoder over the whole document
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert len(rows(json.loads(out))) == 1
+        assert out == cli._dump_json(json.loads(out))
 
     @pytest.mark.parametrize("j", ["abc", "0..", "..3", "0..x", "1..2..3"])
     def test_malformed_j_is_a_usage_error_naming_the_flag(self, capsys, j):

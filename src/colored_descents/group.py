@@ -56,6 +56,18 @@ def word_str(word: Word) -> str:
     return " ".join([f"{v}_{c}" for c, v in word])
 
 
+def _letter_codes(n: int, word: Word) -> tuple[int, ...]:
+    """The word in integer letters c·n + v − 1 for an alphabet of values
+    1..n: letter v_c becomes one int in 0..r·n − 1, in the color-first
+    order of the letters."""
+    return tuple([c * n + v - 1 for c, v in word])
+
+
+def _code_word(n: int, codes: Sequence[int]) -> Word:
+    """The word of integer letters ``codes``; inverse of ``_letter_codes``."""
+    return tuple([(x // n, x % n + 1) for x in codes])
+
+
 class _Record:
     """Base of the package's immutable records, in place of a frozen
     dataclass, whose import alone costs every CLI process ~10 ms.

@@ -24,6 +24,8 @@ from .group import (
     Word,
     _gather,
     _Record,
+    _code_word,
+    _letter_codes,
 )
 
 DEFAULT_MAX_EXTENSIONS = 1_000_000
@@ -255,24 +257,42 @@ def _anchored_words(r: int, n: int, I: frozenset, reverse: bool) -> list[tuple]:
 
 
 @lru_cache(maxsize=2)
-def _anchored_templates(r: int, n: int, reverse: bool) -> dict[frozenset, list]:
-    """Every I within [n] with getters of its words, all in one entry, since
-    every pi walks every I."""
-    return {
-        I: [_gather(w) for w in _anchored_words(r, n, I, reverse)]
+def _anchored_shapes(r: int, n: int, reverse: bool) -> tuple[Callable, int, dict]:
+    """The distinct words of ``_anchored_words`` over every I within [n],
+    as one gather of all their indices, flat, and their number; and for
+    each I a gather of its words' positions among them, with multiplicity.
+    All shapes sit in one entry, since every pi walks every I."""
+    distinct: dict[tuple, int] = {}
+    shapes = {
+        I: _gather([distinct.setdefault(w, len(distinct))
+                    for w in _anchored_words(r, n, I, reverse)])
         for size in range(n + 1)
         for I in map(frozenset, combinations(range(1, n + 1), size))
     }
+    return _gather([i for w in distinct for i in w]), len(distinct), shapes
+
+
+def _extension_table(pi: ColoredPermutation, reverse: bool) -> tuple[list, dict]:
+    """pi's anchored extensions over every I within [n], each distinct word
+    built once, in integer letters (``_letter_codes``), and for each I a
+    gather of its multiset of them:
+    ``colored_linear_extensions(_anchored_chain(I, pi, reverse))`` is
+    ``shapes[I](words)`` in integer letters."""
+    r, n = pi.r, pi.n
+    flat, count, shapes = _anchored_shapes(r, n, reverse)
+    letters = flat(_letter_codes(n, [((c - b) % r, v) for c, v in pi.letters
+                                     for b in range(r)]))
+    return list(zip(*[iter(letters)] * n)) if n else [()] * count, shapes
 
 
 def _anchored_extensions(I: Iterable[int], pi: ColoredPermutation, reverse: bool) -> list:
     """``colored_linear_extensions(_anchored_chain(I, pi, reverse))`` as a
-    multiset, read off the cached shape with no poset built."""
-    shape = _anchored_templates(pi.r, pi.n, reverse).get(frozenset(I))
+    multiset, read off the cached shape table with no poset built."""
+    words, shapes = _extension_table(pi, reverse)
+    shape = shapes.get(frozenset(I))
     if shape is None:
         raise ValueError("I must be a subset of [n]")
-    lowered = [((c - b) % pi.r, v) for c, v in pi.letters for b in range(pi.r)]
-    return [g(lowered) for g in shape]
+    return [_code_word(pi.n, w) for w in shape(words)]
 
 
 def detached_chain_poset(pi: ColoredPermutation) -> ColoredPoset:

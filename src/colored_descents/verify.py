@@ -33,9 +33,11 @@ from .group import (
     DEFAULT_MAX_GROUP_SIZE,
     ColoredPermutation,
     _check_order,
+    _code_word,
     _compose_words,
     _gather,
     _inverse_word,
+    _letter_codes,
     descent_positions,
     enumerate_group,
     group_order,
@@ -47,7 +49,7 @@ from .group import (
 )
 from .posets import (
     ColoredPoset,
-    _anchored_extensions,
+    _extension_table,
     chain_poset,
     colored_linear_extensions,
     detached_chain_poset,
@@ -259,65 +261,82 @@ def suite_order_poly(
 # The quotient side of zigzag, chain and barred, read off table rows.
 
 @lru_cache(maxsize=2)
-def _quotient_side(r: int, n: int) -> tuple[list, dict, list, tuple, list, Callable]:
-    """The words of G(r, n) in rank order and the rank of each word; the
-    descent sets of the words and of their inverses, and their descent
-    numbers, by rank; and a gather of ``left_row(rank pi)`` that reads, for
-    every rank tau, the rank of sigma = pi tau^-1; then sigma^-1 pi = tau."""
+def _quotient_side(r: int, n: int) -> tuple[list, dict, list, list, list, Callable]:
+    """The words of G(r, n) in rank order and the rank of each word, keyed
+    by its integer letters (``_letter_codes``); the descent sets of the
+    words by rank, and of their inverses in the rank blocks of
+    ``GroupTable.left_row``; the descent numbers by rank; and a gather of
+    ``left_row(rank pi)`` that reads, for every rank tau, the rank of
+    sigma = pi tau^-1; then sigma^-1 pi = tau."""
     words = list(group_words(r, n))
-    rank_of = dict(zip(words, itertools.count()))
-    quotient_ranks = _gather([rank_of[_inverse_word(r, w)] for w in words])
-    dsets = [descent_positions(w) for w in words]
-    return (words, rank_of, dsets, quotient_ranks(dsets), list(map(len, dsets)),
-            quotient_ranks)
+    rank_of = dict(zip(map(partial(_letter_codes, n), words), itertools.count()))
+    quotient_ranks = _gather(list(map(group_table(r, n).inverse, range(len(words)))))
+    # one object per descent set, so that a set of descent sets meets each
+    # label by identity
+    shared: dict[frozenset, frozenset] = {}
+    dsets = [shared.setdefault(D, D) for D in map(descent_positions, words)]
+    inverse_dsets = quotient_ranks(dsets)
+    step = r**n  # the rank blocks of GroupTable.left_row
+    inverse_blocks = [inverse_dsets[i:i + step] for i in range(0, len(words), step)]
+    return words, rank_of, dsets, inverse_blocks, list(map(len, dsets)), quotient_ranks
 
 
 # ---------------------------------------------------------------------------
 # zigzag / chain: extension sets against descent conditions on quotients.
 
 @lru_cache(maxsize=2)
-def _class_union_sizes(r: int, n: int, matches) -> dict[frozenset, int]:
-    """Each I within [n], by size, with how many words w have matches(Des w, I)."""
+def _class_unions(r: int, n: int, mode: str) -> dict[frozenset, tuple[int, frozenset]]:
+    """Each I within [n], by size, with how many words have a descent set
+    that matches I, and those descent sets: zigzag extensions have quotient
+    descent set exactly I, chain ones within I."""
+    matches = frozenset.__eq__ if mode == "zigzag" else frozenset.__le__
+    dsets = _quotient_side(r, n)[2]
     return {
-        I: sum(matches(D, I) for D in _quotient_side(r, n)[2])
+        I: (sum(matches(D, I) for D in dsets),
+            frozenset(D for D in set(dsets) if matches(D, I)))
         for size in range(n + 1)
         for I in map(frozenset, itertools.combinations(range(1, n + 1), size))
     }
 
 
 def _lemma_case(pi: ColoredPermutation, mode: str) -> dict:
-    # zigzag extensions have quotient descent set exactly I, chain ones within I
-    matches = frozenset.__eq__ if mode == "zigzag" else frozenset.__le__
-    words, rank_of, _, inverse_labels, _, _ = _quotient_side(pi.r, pi.n)
-    # Des(sigma^-1 pi) = Des((pi^-1 sigma)^-1), for every sigma by rank
-    row = group_table(pi.r, pi.n).left_row(rank_of[_inverse_word(pi.r, pi.letters)])
-    labels = _gather(row)(inverse_labels)
+    r, n = pi.r, pi.n
+    words, rank_of, _, inverse_blocks, _, _ = _quotient_side(r, n)
+    table = group_table(r, n)
+    # Des(sigma^-1 pi) = Des((pi^-1 sigma)^-1), for every sigma by rank; a
+    # word outside the group has no rank and reads the last label, None
+    labels = table.left_row(table.inverse(table.rank(pi.letters)), inverse_blocks)
+    labels.append(None)
+    built, shapes = _extension_table(pi, reverse=mode == "zigzag")
+    # each distinct word is looked up once; every I reads its extensions'
+    # ranks and labels off these
+    ranks = list(map(rank_of.get, built, itertools.repeat(-1)))
+    word_labels = _gather(ranks)(labels)
     extensions = 0
     failures = []
-    for I, want_size in _class_union_sizes(pi.r, pi.n, matches).items():
-        got = _anchored_extensions(I, pi, reverse=mode == "zigzag")
+    for I, (want_size, matching) in _class_unions(r, n, mode).items():
+        got = shapes[I](ranks)
         extensions += len(got)
         # the right size, no repeats and every word in a matching class
-        # hold together exactly when the extensions are the class union;
-        # a word outside the group has no rank
-        ranks = set(map(rank_of.get, got))
-        if (
-            not want_size == len(got) == len(ranks)
-            or None in ranks
-            or not all(matches(D, I) for D in set(map(labels.__getitem__, ranks)))
+        # hold together exactly when the extensions are the class union
+        if not (
+            want_size == len(got) == len(set(got))
+            and matching.issuperset(shapes[I](word_labels))
         ):
-            want = [w for w, D in zip(words, labels) if matches(D, I)]
+            want = [w for w, D in zip(words, labels) if D in matching]
             failures.append(
                 {
-                    "r": pi.r,
-                    "n": pi.n,
+                    "r": r,
+                    "n": n,
                     "pi": str(pi),
                     "I": sorted(I),
-                    "extensions": sorted(word_str(w) for w in got),
+                    "extensions": sorted(
+                        word_str(_code_word(n, w)) for w in shapes[I](built)
+                    ),
                     "expected": sorted(word_str(w) for w in want),
                 }
             )
-    return {"checks": 2**pi.n, "failures": failures, "extensions": extensions}
+    return {"checks": 2**n, "failures": failures, "extensions": extensions}
 
 
 def _lemma_suite(

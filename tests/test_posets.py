@@ -465,7 +465,7 @@ class TestSubAlphabets:
 
 
 def index_sets(n):
-    """Every I within [n], by size, as the shape templates list them."""
+    """Every I within [n], by size, as the shape table lists them."""
     return [
         frozenset(I)
         for size in range(n + 1)
@@ -474,16 +474,16 @@ def index_sets(n):
 
 
 class TestAnchoredTemplates:
-    """The cached shape templates give the generic route's colored
+    """The cached shape table gives the generic route's colored
     extensions of every zig-zag and chain poset, as multisets."""
 
     MAKE = {True: zigzag_poset, False: chain_poset}
 
     @pytest.fixture(autouse=True)
-    def fresh_templates(self):
-        posets._anchored_templates.cache_clear()
+    def fresh_shapes(self):
+        posets._anchored_shapes.cache_clear()
         yield
-        posets._anchored_templates.cache_clear()
+        posets._anchored_shapes.cache_clear()
 
     GROUPS = [(1, 1), (1, 4), (2, 0), (2, 3), (3, 2), (3, 3), (4, 2)]
 
@@ -538,7 +538,7 @@ class TestAnchoredTemplates:
         caps = {c + d for pair in counts for c in pair for d in (-1, 0)}
         for cap in sorted(caps):
             monkeypatch.setattr(posets, "DEFAULT_MAX_EXTENSIONS", cap)
-            posets._anchored_templates.cache_clear()
+            posets._anchored_shapes.cache_clear()
             want = None
             for n_linear, n_colored in counts:
                 if n_linear > cap:

@@ -1,4 +1,5 @@
 import concurrent.futures
+import itertools
 import json
 import os
 from collections import Counter
@@ -21,8 +22,11 @@ from colored_descents.algebra import (
 from colored_descents.cli import main
 from colored_descents.group import (
     GroupTable,
+    _code_word,
     _compose_words,
+    _gather,
     _inverse_word,
+    _letter_codes,
     enumerate_group,
     group_words,
     parse_one_line,
@@ -30,11 +34,16 @@ from colored_descents.group import (
     word_str,
 )
 from colored_descents.posets import (
-    _anchored_extensions,
+    _extension_table,
     chain_poset,
     colored_linear_extensions,
 )
-from colored_descents.verify import IDEMPOTENT_GROUPS, run_suite, suite_closure_mr
+from colored_descents.verify import (
+    IDEMPOTENT_GROUPS,
+    LEMMA_SWEEP,
+    run_suite,
+    suite_closure_mr,
+)
 
 
 def test_idempotents_build_one_partition_per_group(monkeypatch):
@@ -316,15 +325,22 @@ def test_lemma_check_catches_perturbed_extensions(monkeypatch, perturb, mode, r,
     # as expected, and no other (pi, I) is
     perturbed = []
 
-    def extensions(I, pi, reverse):
-        got = _anchored_extensions(I, pi, reverse)
-        bad = perturb(got, r, n)
-        if bad is None:
-            return got
-        perturbed.append((sorted(map(word_str, bad)), sorted(map(word_str, got))))
-        return bad
+    def extensions(pi, reverse):
+        # the check reads I's extensions as shapes[I](words); a perturbed
+        # list is appended to words, and I's gather reads it there
+        words, shapes = _extension_table(pi, reverse)
+        words, shapes = list(words), dict(shapes)
+        for I, shape in shapes.items():
+            got = [_code_word(n, w) for w in shape(words)]
+            bad = perturb(got, r, n)
+            if bad is None:
+                continue
+            perturbed.append((sorted(map(word_str, bad)), sorted(map(word_str, got))))
+            shapes[I] = _gather(range(len(words), len(words) + len(bad)))
+            words += [_letter_codes(n, w) for w in bad]
+        return words, shapes
 
-    monkeypatch.setattr(verify, "_anchored_extensions", extensions)
+    monkeypatch.setattr(verify, "_extension_table", extensions)
     failures = [
         f for pi in enumerate_group(r, n) for f in verify._lemma_case(pi, mode)["failures"]
     ]
@@ -335,18 +351,18 @@ def test_lemma_check_catches_perturbed_extensions(monkeypatch, perturb, mode, r,
 
 
 @pytest.fixture
-def fresh_templates():
-    """An empty shape-template cache before and after the test, so neither a
+def fresh_shapes():
+    """An empty shape-table cache before and after the test, so neither a
     patched walk nor a patched cap leaks into another test."""
-    posets._anchored_templates.cache_clear()
+    posets._anchored_shapes.cache_clear()
     yield
-    posets._anchored_templates.cache_clear()
+    posets._anchored_shapes.cache_clear()
 
 
 @pytest.mark.parametrize("mode", ["zigzag", "chain"])
 @pytest.mark.parametrize("r, n", [(2, 2), (3, 2)])
 def test_lemma_suite_fails_on_an_off_by_one_color_lowering(
-    monkeypatch, capsys, fresh_templates, mode, r, n
+    monkeypatch, capsys, fresh_shapes, mode, r, n
 ):
     # one shape's words read each letter lowered one color too far
     words = posets._anchored_words
@@ -360,15 +376,66 @@ def test_lemma_suite_fails_on_an_off_by_one_color_lowering(
     argv = ["verify", mode, "--r", str(r), "--n", str(n), "--format", "json"]
     assert main(argv) == 0
     capsys.readouterr()
-    posets._anchored_templates.cache_clear()
+    posets._anchored_shapes.cache_clear()
     monkeypatch.setattr(posets, "_anchored_words", off_by_one)
     assert main(argv) == 3
     failures = json.loads(capsys.readouterr().out)["results"]["failures"]
     assert failures and {tuple(f["I"]) for f in failures} == {(1,)}
 
 
+@pytest.mark.parametrize("r, n", [(2, 3), (3, 3)])
+def test_lemma_check_fails_every_index_set_holding_a_corrupt_shared_word(
+    monkeypatch, fresh_shapes, r, n
+):
+    # the chain table builds each distinct word once per pi and shares it
+    # among the index sets that hold it; lowering its first letter one
+    # color too far must fail each of those (pi, I), and no other
+    words = posets._anchored_words
+    sets = [frozenset(I) for k in range(n + 1)
+            for I in itertools.combinations(range(1, n + 1), k)]
+    target = words(r, n, frozenset({1}), False)[-1]
+    holders = [I for I in sets if target in words(r, n, I, False)]
+    assert 1 < len(holders) < len(sets)
+    bad = ((target[0] + 1) % r + target[0] - target[0] % r,) + target[1:]
+
+    def corrupt(r, n, I, reverse):
+        return [bad if w == target else w for w in words(r, n, I, reverse)]
+
+    monkeypatch.setattr(posets, "_anchored_words", corrupt)
+    for pi in enumerate_group(r, n):
+        failures = verify._lemma_case(pi, "chain")["failures"]
+        assert [f["I"] for f in failures] == [sorted(I) for I in holders], str(pi)
+
+
+@pytest.mark.parametrize("r, n", [*LEMMA_SWEEP, (2, 4), (3, 4)])
+def test_integer_rank_map_matches_the_group_table(r, n):
+    # the lemma check's rank map, keyed by integer letters c*n + v - 1,
+    # against the table's rank read off value and color indices
+    rank_of = verify._quotient_side(r, n)[1]
+    table = GroupTable(r, n)
+    words = list(group_words(r, n))
+    assert len(rank_of) == len(words)
+    for w in words:
+        assert rank_of[tuple(c * n + v - 1 for c, v in w)] == table.rank(w)
+
+
+@pytest.mark.parametrize(
+    "mode, r, n, checks, extensions",
+    [
+        ("zigzag", 3, 3, 1298, 26_244),
+        ("chain", 3, 3, 1297, 71_604),
+        ("zigzag", 2, 4, 6146, 147_456),
+        ("chain", 2, 4, 6145, 651_648),
+    ],
+)
+def test_lemma_suites_pin_checks_and_extensions(mode, r, n, checks, extensions):
+    report = run_suite(mode, r=r, n=n)
+    assert report.passed
+    assert (report.checks, report.details["extensions"]) == (checks, extensions)
+
+
 @pytest.mark.parametrize("r, n", [(2, 3), (3, 2)])
-def test_lemma_suites_walk_each_shape_once(monkeypatch, fresh_templates, r, n):
+def test_lemma_suites_walk_each_shape_once(monkeypatch, fresh_shapes, r, n):
     walks = []
     expand = posets._expand
 

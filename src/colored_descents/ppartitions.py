@@ -9,10 +9,11 @@ map f from P into [0,r-1] x [0,j] (ordered color-first) such that
         f(a) < f(b) when a exceeds b after lowering both colors by k;
   (iv)  only a letter of color k may map to the top value (k, j).
 
-The brute-force counter searches the maps depth first, testing every
-condition on every map it counts and dropping a partial map at its first
-failure.  It uses no extension theorem and no closed form, and is the
-oracle for every closed form in this module.  All arithmetic is exact
+The brute-force counter searches the maps depth first, on bitmasks of
+images, testing every condition on every map it counts and dropping a
+partial map at its first failure; one setup serves every j of a range.
+It uses no extension theorem and no closed form, and is the oracle for
+every closed form in this module.  All arithmetic is exact
 integer arithmetic.
 """
 from __future__ import annotations
@@ -21,9 +22,11 @@ import functools
 import itertools
 import math
 import random
-from bisect import bisect_left, bisect_right
 from collections import Counter
-from typing import Optional
+from functools import reduce
+from itertools import compress
+from operator import and_, getitem
+from typing import Callable, Iterator, Optional
 
 from .group import (
     DEFAULT_MAX_GROUP_SIZE,
@@ -54,98 +57,157 @@ def _shift_gt(a: ColoredLetter, b: ColoredLetter, k: int, r: int) -> bool:
     return ((a.color - k) % r, a.value) > ((b.color - k) % r, b.value)
 
 
-def count_ppartitions_bruteforce(
-    poset: ColoredPoset, j: int, max_maps: int = DEFAULT_MAX_MAPS
-) -> int:
-    """Count colored P-partitions with parts in [0, j] by exhaustive search.
+def _bits(mask: int) -> Iterator[bool]:
+    """Whether each bit of a mask is set, lowest first, up to its top bit."""
+    return map("1".__eq__, bin(mask)[:1:-1])
 
-    An image (k, v) is the integer k*(j+1) + v, so integer order is the
-    color-first order.  Zero letters are pinned by (i), and each free letter
-    ranges over the images that (iv) allows.  The free letters are assigned
-    depth first.  Every relation is tested by (ii) and (iii) at the deeper
-    of its two letters, as soon as both images are known: it bounds the
-    deeper letter's images, so a partial map is dropped at its first
-    failure.  The cap bounds the (r(j+1))^|free| candidate maps and is
-    checked before any search.
+
+@functools.lru_cache(maxsize=64)
+def _relation_table(
+    r: int, base: int, up: bool, strict: tuple[bool, ...]
+) -> tuple[int, ...]:
+    """The images that (ii) and (iii) leave the deeper letter of a relation
+    a < b, for each image x of the shallower one: x and above if the deeper
+    letter is b, x and below if it is a, x itself only where the color
+    block of x does not force strictness."""
+    full = (1 << r * base) - 1
+    return tuple(
+        full >> x + s << x + s if up else (1 << x + 1 - s) - 1
+        for x, s in enumerate(strict[x // base] for x in range(r * base))
+    )
+
+
+def _ppartition_counter(
+    poset: ColoredPoset, j_max: int, max_maps: int
+) -> Callable[[int], int]:
+    """Set up the search on the image grid of ``j_max``, once; the returned
+    function counts the colored P-partitions at one j in 0..j_max.
+
+    Image (k, v) is the integer k*(j_max+1) + v, so integer order is the
+    color-first order and a set of images is a bitmask.  A relation with a
+    zero letter, pinned by (i), bounds the other letter's mask; a relation
+    of two free letters is a table (``_relation_table``).  A j masks the
+    grid to v <= j, and keeps (k, j) for the letters of color k only (iv).
+    The letters are assigned depth first, each from the AND of its mask and
+    its tables at the images chosen, so a partial map is dropped at its
+    first failure; the last three are counted with ``map`` and
+    ``int.bit_count``.  The cap bounds the (r(j_max+1))^|free| candidate
+    maps and is checked before any relation is read.
     """
-    if j < 0:
+    if j_max < 0:
         raise ValueError("j must be nonnegative")
     if poset.unsatisfiable:
-        return 0
+        return lambda j: 0
     r = poset.r
     free = poset.nonzero
-    n_images = r * (j + 1)
+    base = j_max + 1
+    n_images = r * base
     if n_images**len(free) > max_maps:
         raise SizeCapExceeded(
             f"{n_images}^{len(free)} candidate maps exceed cap {max_maps}"
         )
 
-    base = j + 1
+    full = (1 << n_images) - 1
+    last = len(free) - 1
     depth = {x: d for d, x in enumerate(free)}
-    # lo[d]..hi[d]: the images that relations with zero letters leave letter
-    # d; below[d] / above[d]: shallower letters e with e < d / d < e, and
-    # whether each color forces strictness, read at the image of e
-    lo = [0] * len(free)
-    hi = [n_images - 1] * len(free)
-    below: list[list[tuple[int, tuple[bool, ...]]]] = [[] for _ in free]
-    above: list[list[tuple[int, tuple[bool, ...]]]] = [[] for _ in free]
+    static = [full] * len(free)
+    # shallower[d] and tables[d]: the shallower letters related to letter d,
+    # and their tables; the tables among the last three letters are read per
+    # image instead, by (deeper, shallower)
+    shallower: list[list[int]] = [[] for _ in free]
+    tables: list[list[tuple[int, ...]]] = [[] for _ in free]
+    among: dict[tuple[int, int], tuple[int, ...]] = {}
     for a, b in poset.less:
-        strict = tuple(_shift_gt(a, b, k, r) for k in range(r))
         da, db = depth.get(a), depth.get(b)
         if da is None and db is None:  # both pinned by (i)
-            fa, fb = a.color * base, b.color * base
-            if fa > fb or (fa == fb and strict[a.color]):
-                return 0
-        elif da is None:
-            fa = a.color * base
-            lo[db] = max(lo[db], fa + strict[a.color])
-        elif db is None:
-            fb = b.color * base
-            hi[da] = min(hi[da], fb - strict[b.color])
-        elif da < db:
-            below[db].append((da, strict))
+            if a.color > b.color or (a.color == b.color and _shift_gt(a, b, a.color, r)):
+                return lambda j: 0
+        elif da is None:  # f(b) >= (a.color, 0), strictly by (iii)
+            low = a.color * base + _shift_gt(a, b, a.color, r)
+            static[db] &= full >> low << low
+        elif db is None:  # f(a) <= (b.color, 0), strictly by (iii)
+            static[da] &= (1 << b.color * base + 1 - _shift_gt(a, b, b.color, r)) - 1
         else:
-            above[da].append((db, strict))
-    if not free:
-        return 1
-    # condition (iv): the top value (k, j) only for a letter of color k
-    allowed = [
-        [i for i in range(n_images) if i % base != j or i // base == x.color]
-        for x in free
-    ]
-
-    f = [0] * len(free)
-
-    def choices(d: int) -> list[int]:
-        low, high = lo[d], hi[d]
-        for e, strict in below[d]:
-            fe = f[e]
-            low = max(low, fe + strict[fe // base])
-        for e, strict in above[d]:
-            fe = f[e]
-            high = min(high, fe - strict[fe // base])
-        row = allowed[d]
-        return row[bisect_left(row, low) : bisect_right(row, high)]
-
-    # depth first with one iterator of choices per assigned letter; the
-    # last letter's choices are counted, not visited
-    last = len(free) - 1
-    if last == 0:
-        return len(choices(0))
-    count = 0
-    pending = [iter(choices(0))]
-    while pending:
-        d = len(pending) - 1
-        for image in pending[d]:
-            f[d] = image
-            if d + 1 == last:
-                count += len(choices(last))
+            strict = tuple(_shift_gt(a, b, k, r) for k in range(r))
+            table = _relation_table(r, base, da < db, strict)
+            e, d = sorted((da, db))
+            if e < last - 2:
+                shallower[d].append(e)
+                tables[d].append(table)
             else:
-                pending.append(iter(choices(d + 1)))
-                break
-        else:
-            pending.pop()
+                among[d, e] = table
+
+    # fewer than three letters are padded in front with letters whose single
+    # image is 0; an unrelated pair reads all images
+    ones = (full,) * n_images
+    to_second, to_last, pair = (
+        among.get(key, ones)
+        for key in ((last - 1, last - 2), (last, last - 2), (last, last - 1))
+    )
+    stripe = sum(1 << k * base for k in range(r))
+    tops = [1 << x.color * base for x in free]
+    f = [0] * len(free)
+    fget = f.__getitem__
+
+    def mask(d: int, allowed: list[int]) -> int:
+        """Letter d's images, given the images f of the shallower letters."""
+        return reduce(and_, map(getitem, tables[d], map(fget, shallower[d])), allowed[d])
+
+    def last_two(second: int, rest: int) -> int:
+        """The maps of the last two letters, given their masks."""
+        if pair is ones:
+            return second.bit_count() * rest.bit_count()
+        return sum(map(int.bit_count, map(rest.__and__, compress(pair, _bits(second)))))
+
+    def last_three(third: int, second: int, rest: int) -> int:
+        """The maps of the last three letters, given their masks before the
+        tables among them."""
+        return sum(map(
+            last_two,
+            map(second.__and__, compress(to_second, _bits(third))),
+            map(rest.__and__, compress(to_last, _bits(third))),
+        ))
+
+    def count(j: int) -> int:
+        below = ((1 << j) - 1) * stripe  # v < j in every color block
+        allowed = [m & (below | top << j) for m, top in zip(static, tops)]
+        if last < 3:
+            return last_three(*[1] * (2 - last), *allowed)
+        total = 0
+        pending = [compress(itertools.count(), _bits(mask(0, allowed)))]
+        while pending:  # one iterator of images per assigned letter
+            d = len(pending) - 1
+            for image in pending[d]:
+                f[d] = image
+                if d + 3 == last:
+                    total += last_three(
+                        mask(last - 2, allowed), mask(last - 1, allowed), mask(last, allowed)
+                    )
+                else:
+                    pending.append(compress(itertools.count(), _bits(mask(d + 1, allowed))))
+                    break
+            else:
+                pending.pop()
+        return total
+
     return count
+
+
+def count_ppartitions_bruteforce(
+    poset: ColoredPoset, j: int, max_maps: int = DEFAULT_MAX_MAPS
+) -> int:
+    """Count colored P-partitions with parts in [0, j] by exhaustive search
+    over the maps, as ``_ppartition_counter`` sets it up.  The cap bounds the
+    (r(j+1))^|free| candidate maps and is checked before any search."""
+    return _ppartition_counter(poset, j, max_maps)(j)
+
+
+def _ppartition_counts(
+    poset: ColoredPoset, j_max: int, max_maps: int = DEFAULT_MAX_MAPS
+) -> list[int]:
+    """``count_ppartitions_bruteforce`` at every j in 0..j_max, from one
+    setup; the cap is checked once, at j_max."""
+    return list(map(_ppartition_counter(poset, j_max, max_maps), range(j_max + 1)))
 
 
 def omega_word(word: Word, j: int) -> int:

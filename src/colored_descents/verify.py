@@ -57,9 +57,9 @@ from .posets import (
     zigzag_poset,
 )
 from .ppartitions import (
+    _ppartition_counts,
     barred_chain_total,
     binom,
-    count_ppartitions_bruteforce,
     descent_class_sizes,
     omega_Ppi,
     random_colored_poset,
@@ -185,14 +185,13 @@ def _run_cases(
 
 def _ftcpp_case(index: int, poset: ColoredPoset, j_max: int) -> dict:
     failures = []
-    counts = []
     m = len(poset.nonzero)  # the length of every extension
-    for j in range(j_max + 1):
-        brute = count_ppartitions_bruteforce(poset, j)
-        if j == 0:  # once per poset; after the first count, so caps trip in order
-            by_des = Counter(map(word_des, colored_linear_extensions(poset)))
+    # the map cap at j_max trips before the extension cap: a refused poset
+    # generates no extension
+    brutes = _ppartition_counts(poset, j_max)
+    by_des = Counter(map(word_des, colored_linear_extensions(poset)))
+    for j, brute in enumerate(brutes):
         via = sum(count * binom(j + m - d, m) for d, count in by_des.items())
-        counts.append(str(brute))
         if brute != via:
             failures.append(
                 {
@@ -203,7 +202,7 @@ def _ftcpp_case(index: int, poset: ColoredPoset, j_max: int) -> dict:
                     "extension_sum": str(via),
                 }
             )
-    return {"checks": j_max + 1, "counts": counts, "failures": failures}
+    return {"checks": j_max + 1, "counts": list(map(str, brutes)), "failures": failures}
 
 
 def suite_ftcpp(
@@ -231,9 +230,8 @@ def suite_ftcpp(
 
 def _order_poly_case(pi: ColoredPermutation, j_max: int) -> dict:
     failures = []
-    poset = detached_chain_poset(pi)
-    for j in range(j_max + 1):
-        brute = count_ppartitions_bruteforce(poset, j)
+    brutes = _ppartition_counts(detached_chain_poset(pi), j_max)
+    for j, brute in enumerate(brutes):
         closed = omega_Ppi(pi, j)
         if brute != closed:
             failures.append(

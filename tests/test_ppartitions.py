@@ -152,6 +152,9 @@ class TestBruteForce:
         monkeypatch.setattr("colored_descents.ppartitions._shift_gt", no_search)
         with pytest.raises(SizeCapExceeded, match=r"^12\^30 candidate maps exceed cap 10$"):
             count_ppartitions_bruteforce(poset, 3, max_maps=10)
+        # the range entry checks the same cap once, at its top j
+        with pytest.raises(SizeCapExceeded, match=r"^12\^30 candidate maps exceed cap 10$"):
+            ppartitions._ppartition_counts(poset, 3, max_maps=10)
 
     def test_large_one_color_antichain(self):
         # 1^3000 candidate maps pass the cap; the search must not recurse
@@ -181,6 +184,36 @@ class TestAgainstReference:
         assert count_ppartitions_bruteforce(poset, 2) == reference_count(poset, 2) == 0
 
 
+class TestRangeEntry:
+    """``_ppartition_counts`` counts every j of a range from one setup."""
+
+    def assert_agrees(self, poset, j_max):
+        counts = ppartitions._ppartition_counts(poset, j_max)
+        assert counts == [count_ppartitions_bruteforce(poset, j) for j in range(j_max + 1)]
+        assert counts == [reference_count(poset, j) for j in range(j_max + 1)]
+        return counts
+
+    def test_unsatisfiable(self):
+        poset = zigzag_poset({2}, parse_one_line("1_0 2_0", 1))
+        assert self.assert_agrees(poset, 3) == [0] * 4
+
+    def test_zero_letters_only(self):
+        assert self.assert_agrees(make_poset(3, 0, [], []), 4) == [1] * 5
+
+    def test_failing_zero_zero_relation(self):
+        # 0_2 < 0_1 asks (2, 0) <= (1, 0): no map; make_poset would see a
+        # cycle, so the poset is built by hand
+        zeros = [L(1, 0), L(2, 0)]
+        poset = ColoredPoset(3, 1, frozenset([*zeros, L(0, 1)]), frozenset([(zeros[1], zeros[0])]))
+        assert self.assert_agrees(poset, 3) == [0] * 4
+
+    def test_one_free_letter(self):
+        # 0_1 < 1_0 < 0_2 in G(3, 1): the letter maps to (1, 0) or above,
+        # strictly below (2, 0), and by (iv) not to the top (1, j)
+        poset = make_poset(3, 1, [L(0, 1)], [(L(1, 0), L(0, 1)), (L(0, 1), L(2, 0))])
+        assert self.assert_agrees(poset, 4) == [0, 1, 2, 3, 4]
+
+
 @st.composite
 def small_posets(draw):
     """Random colored posets with r <= 4 and up to 5 values, or zig-zag
@@ -206,6 +239,22 @@ def test_pruned_search_matches_reference_random(poset, data):
     )
     j = data.draw(st.integers(0, j_top))
     assert count_ppartitions_bruteforce(poset, j) == reference_count(poset, j)
+
+
+@given(small_posets(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_range_entry_matches_single_j_and_reference_random(poset, data):
+    # j_max <= 4, as far as the reference's full products over the range
+    # stay under 2 * 10^5 maps
+    ell = len(poset.nonzero)
+    j_top = max(
+        j for j in range(5)
+        if j == 0 or sum((poset.r * (i + 1)) ** ell for i in range(j + 1)) <= 2 * 10**5
+    )
+    j_max = data.draw(st.integers(0, j_top))
+    counts = ppartitions._ppartition_counts(poset, j_max)
+    assert counts == [count_ppartitions_bruteforce(poset, j) for j in range(j_max + 1)]
+    assert counts == [reference_count(poset, j) for j in range(j_max + 1)]
 
 
 class TestOmegaPi:

@@ -473,3 +473,31 @@ def test_ftcpp_catches_a_dropped_extension(monkeypatch):
     res = verify._ftcpp_case(0, poset, 3)
     assert [f["j"] for f in res["failures"]] == [1, 2, 3]
     assert [f["extension_sum"] for f in res["failures"]] == ["0", "0", "0"]
+
+
+@pytest.mark.parametrize(
+    "argv", [["ftcpp", "--cases", "50"], ["order-poly", "--r", "2", "--n", "3"]]
+)
+def test_oracle_suites_catch_an_oracle_without_strictness(monkeypatch, capsys, argv):
+    # an oracle that drops condition (iii) counts too many maps: both suites
+    # fail, and each failure names its j
+    monkeypatch.setattr(
+        "colored_descents.ppartitions._shift_gt", lambda a, b, k, r: False
+    )
+    assert main(["verify", *argv, "--format", "json"]) == 3
+    failures = json.loads(capsys.readouterr().out)["results"]["failures"]
+    assert failures and all(0 <= f["j"] <= 3 for f in failures)
+    assert all(int(f["bruteforce"]) > int(f.get("closed", f.get("extension_sum"))) for f in failures)
+
+
+def test_ftcpp_refuses_a_poset_before_generating_its_extensions(monkeypatch, capsys):
+    # the first poset of seed 9 has four letters in two colors: at --j 0..30
+    # its 62^4 candidate maps exceed the map cap, which trips at the top j
+    # before the extension cap can be reached
+    def no_extensions(poset):
+        raise AssertionError("extensions generated for a refused poset")
+
+    monkeypatch.setattr(verify, "colored_linear_extensions", no_extensions)
+    argv = ["verify", "ftcpp", "--cases", "1", "--seed", "9", "--j", "0..30"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: 62^4 candidate maps exceed cap 10000000\n"

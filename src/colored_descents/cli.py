@@ -8,14 +8,15 @@ duration; everything except the duration is byte-stable across runs.
 """
 from __future__ import annotations
 
-import argparse
+import functools
 import itertools
 import json
 import math
 import os
 import sys
 import time
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
 
 from . import __version__, schemas
 from .group import (
@@ -30,6 +31,9 @@ from .group import (
     parse_one_line,
 )
 
+if TYPE_CHECKING:
+    import argparse
+
 ENV_PREFIX = "COLORED_DESCENTS_"
 
 EXIT_OK = 0
@@ -42,9 +46,22 @@ class UsageError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str) -> None:  # exit 1, not argparse's 2
-        raise UsageError(message)
+@functools.cache
+def _parser_class() -> type:
+    import argparse  # about 4 ms with gettext and locale, so only when a parser is built
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message: str) -> None:  # exit 1, not argparse's 2
+            raise UsageError(message)
+
+    return _Parser
+
+
+def __getattr__(name: str):
+    # PEP 562: ``cli._Parser`` loads argparse on first access only
+    if name == "_Parser":
+        return _parser_class()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _env(flag: str, fallback=None):
@@ -58,55 +75,77 @@ CONFIG_FLAGS = (
 _FORMATS = ("json", "csv", "text")
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    # argparse converts a string default (a preset) with ``type``, so a bad
-    # preset is a usage error like a bad flag
-    parser.add_argument("--r", type=int, default=_env("r"))
-    parser.add_argument("--n", type=int, default=_env("n"))
-    parser.add_argument("--j", type=str, default=_env("j", "0..3"),
-                        help="single value or inclusive range like 0..3")
-    parser.add_argument("--k", type=int, default=_env("k", 3))
-    parser.add_argument("--seed", type=int, default=_env("seed", 0))
-    parser.add_argument("--cases", type=int, default=_env("cases", 100))
-    parser.add_argument("--jobs", type=int, default=_env("jobs", 1))
-    parser.add_argument(
-        "--max-group-size",
-        type=int,
-        default=_env("max-group-size", DEFAULT_MAX_GROUP_SIZE),
-    )
-    parser.add_argument(
-        "--format",
-        choices=_FORMATS,
-        default=_env("format", "text"),
-    )
-    parser.add_argument("--output", "-o", type=str, default=_env("output"),
-                        help="write to this file instead of stdout")
-
-
-def _add_verify(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("suite")  # run_suite names the suites when it refuses one
-    _add_common(parser)
-
-
-def _add_order_poly(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--pi", type=str, default=_env("pi"), help="one-line word like '2_1 1_1'")
-    _add_common(parser)
-
-
-def build_parser(argv: Sequence[str]) -> _Parser:
+def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
     """The parser of a command line.  Only the command that argv names, its
     first token not starting with "-", gets its arguments; every other
     command is added bare, with its help, so the top-level help, --version
     and the unknown-command error read as with every command built."""
     command = next((token for token in argv if not token.startswith("-")), None)
-    parser = _Parser(prog="colored-descents", description=__doc__)
+    parser = _parser_class()(prog="colored-descents", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (text, add_arguments, _) in _COMMANDS.items():
+    for name, (text, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=text)
-        if name == command:
-            add_arguments(p)
+        if name != command:
+            continue
+        if name == "verify":
+            p.add_argument("suite")  # run_suite names the suites when it refuses one
+        for names, kind, fallback, choices, flag_help, commands in _FLAGS:
+            if name in commands:
+                # argparse converts a string default (a preset) with ``type``,
+                # so a bad preset is a usage error like a bad flag
+                p.add_argument(*names, type=kind, default=_env(names[0][2:], fallback),
+                               choices=choices, help=flag_help)
     return parser
+
+
+def _read_plain(argv: Sequence[str]) -> Optional[SimpleNamespace]:
+    """What ``build_parser(argv).parse_args(argv)`` gives a plain command
+    line, read without argparse: ``--version`` alone, or a command,
+    verify's suite, then ``--flag value`` pairs of the command's flags whose
+    values do not start with "-".  As in argparse, every value is converted
+    with its flag's type and checked against its choices, the last of a
+    repeated flag wins, and the preset of a flag not given is converted
+    only if it is a string (so a --format preset meets no choices).  Any
+    other line, a value its type or choices refuse, or a preset its type
+    refuses, gives None: argparse alone parses help, --flag=value,
+    abbreviated flags, "--" and errors."""
+    if list(argv) == ["--version"]:
+        print(__version__)
+        raise SystemExit(EXIT_OK)
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    command, *rest = argv
+    values = {"command": command}
+    if command == "verify":
+        if not rest or rest[0].startswith("-"):
+            return None
+        values["suite"] = rest.pop(0)
+    if len(rest) % 2:
+        return None
+    own = [flag for flag in _FLAGS if command in flag[-1]]
+    flags = {name: flag for flag in own for name in flag[0]}
+    given = {}
+    try:
+        for name, text in zip(rest[::2], rest[1::2]):
+            if name not in flags or text.startswith("-"):
+                return None
+            _, kind, _, choices, *_ = flag = flags[name]
+            given[flag] = value = kind(text)
+            if choices and value not in choices:
+                return None
+        for flag in own:
+            names, kind, fallback, *_ = flag
+            if flag in given:
+                value = given[flag]
+            else:
+                value = _env(names[0][2:], fallback)
+                if isinstance(value, str):
+                    value = kind(value)
+            values[names[0][2:].replace("-", "_")] = value
+    except ValueError:
+        return None
+    return SimpleNamespace(**values)
 
 
 def _parse_j_range(text: str) -> tuple[int, int]:
@@ -160,9 +199,28 @@ def _dump_json(obj: object) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _json_text(obj: object, spaces: int) -> str:
-    """``_dump_json(obj)`` without its newline, as it stands ``spaces`` deep."""
-    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + " " * spaces)
+def _count_record_json(record: dict) -> str:
+    """``_dump_json(record)`` of an order-poly count record without its
+    newline, as it stands 2 deep in the document.  The count is a decimal
+    string and the word is digits, "_" and spaces, so neither needs JSON
+    escaping."""
+    params = record["params"]
+    return (f'{{\n    "count": "{record["count"]}",\n    "op": "order-poly",'
+            f'\n    "params": {{\n      "j": {params["j"]},\n      "pi": "{params["pi"]}",'
+            f'\n      "r": {params["r"]}\n    }}\n  }}')
+
+
+def _idempotent_row_json(row: dict) -> str:
+    """``_dump_json(row)`` of an idempotent table row without its newline,
+    as it stands 4 deep in the document.  Every number in a class entry is
+    a decimal string, so none needs JSON escaping."""
+    entries = ",\n        ".join(
+        f'{{\n          "den": "{entry["den"]}",\n          "des": {entry["des"]},'
+        f'\n          "num": "{entry["num"]}"\n        }}'
+        for entry in row["by_des_class"]
+    )
+    return (f'{{\n      "by_des_class": [\n        {entries}\n      ],'
+            f'\n      "i": {row["i"]}\n    }}')
 
 
 def _json_ints(nest, spaces: int) -> str:
@@ -347,7 +405,7 @@ def cmd_idempotents(args: argparse.Namespace) -> int:
         ]} for i, xs in enumerate(rows))
         # a row is checked as a one-row table, so its path reads $.idempotents[0]
         _emit(_json_stream({**head, "idempotents": [None]}, (
-            ({**head, "idempotents": [row]}, _json_text(row, 4)) for row in table
+            ({**head, "idempotents": [row]}, _idempotent_row_json(row)) for row in table
         ), "idempotent_table"), args.output)
     elif args.format == "csv":
         _emit(itertools.chain([_csv_line(["i", "des", "coefficient"])], (
@@ -398,9 +456,10 @@ def cmd_order_poly(args: argparse.Namespace) -> int:
     # each count is written as it is evaluated, so no format holds the range
     counts = ((j, str(omega_pi(pi, j))) for j in range(lo, hi + 1))
     if args.format == "json":
-        records = ({"op": "order-poly", "params": {"r": r, "pi": str(pi), "j": j},
+        word = str(pi)
+        records = ({"op": "order-poly", "params": {"r": r, "pi": word, "j": j},
                     "count": count} for j, count in counts)
-        _emit(_json_stream([None], ((rec, _json_text(rec, 2)) for rec in records),
+        _emit(_json_stream([None], ((rec, _count_record_json(rec)) for rec in records),
                            "count_record"), args.output)
     elif args.format == "csv":
         _emit(itertools.chain([_csv_line(["j", "count"])], map(_csv_line, counts)),
@@ -411,24 +470,41 @@ def cmd_order_poly(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-# name: (help, the adder of its arguments, its runner)
+# name: (help, runner); verify also takes its suite, a positional first
 _COMMANDS = {
-    "enumerate": ("list group elements with statistics", _add_common, cmd_enumerate),
-    "verify": ("run a named verification suite", _add_verify, cmd_verify),
-    "idempotents": ("emit the orthogonal idempotent table", _add_common, cmd_idempotents),
-    "eulerian-poly": ("emit descent-number coefficients", _add_common, cmd_eulerian_poly),
-    "order-poly": ("evaluate the order polynomial of a word", _add_order_poly,
-                   cmd_order_poly),
+    "enumerate": ("list group elements with statistics", cmd_enumerate),
+    "verify": ("run a named verification suite", cmd_verify),
+    "idempotents": ("emit the orthogonal idempotent table", cmd_idempotents),
+    "eulerian-poly": ("emit descent-number coefficients", cmd_eulerian_poly),
+    "order-poly": ("evaluate the order polynomial of a word", cmd_order_poly),
 }
+_EVERY = tuple(_COMMANDS)
+
+# Each flag once: its option strings, type, fallback under its preset
+# COLORED_DESCENTS_<FLAG>, choices, help and the commands that take it, in
+# the order of their help.  build_parser declares them to argparse and
+# _read_plain reads them, so the two parse one grammar.
+_FLAGS = (
+    (("--pi",), str, None, None, "one-line word like '2_1 1_1'", ("order-poly",)),
+    (("--r",), int, None, None, None, _EVERY),
+    (("--n",), int, None, None, None, _EVERY),
+    (("--j",), str, "0..3", None, "single value or inclusive range like 0..3", _EVERY),
+    (("--k",), int, 3, None, None, _EVERY),
+    (("--seed",), int, 0, None, None, _EVERY),
+    (("--cases",), int, 100, None, None, _EVERY),
+    (("--jobs",), int, 1, None, None, _EVERY),
+    (("--max-group-size",), int, DEFAULT_MAX_GROUP_SIZE, None, None, _EVERY),
+    (("--format",), str, "text", _FORMATS, None, _EVERY),
+    (("--output", "-o"), str, None, None, "write to this file instead of stdout", _EVERY),
+)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _read_plain(argv) or build_parser(argv).parse_args(argv)
         _validate_common(args)
-        return _COMMANDS[args.command][2](args)
+        return _COMMANDS[args.command][1](args)
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,4 +1,6 @@
+import contextlib
 import importlib
+import io
 import json
 import math
 import os
@@ -8,6 +10,8 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import colored_descents
 from colored_descents import cli, schemas
@@ -286,7 +290,9 @@ class TestExitCodes:
     def test_light_commands_load_no_algebra_or_verify(self):
         # the package re-exports lazily and the CLI imports algebra, verify
         # and ppartitions inside the commands that run them, so these
-        # commands never load Fraction (which pulls in decimal)
+        # commands never load Fraction (which pulls in decimal); and a plain
+        # command line is read without argparse, so no line here, verify's
+        # included, loads argparse or what it pulls in
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             [str(Path(colored_descents.__file__).parents[1]), env.get("PYTHONPATH", "")]
@@ -294,23 +300,28 @@ class TestExitCodes:
         code = (
             "import io, sys, contextlib; from colored_descents.cli import main\n"
             "codes = []\n"
-            "for argv in (['--version'], ['enumerate', '--format', 'json'],\n"
-            "             ['order-poly', '--pi', '2_1 1_0'], ['eulerian-poly']):\n"
+            "def run(argv):\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        try:\n"
             "            codes.append(main(argv))\n"
             "        except SystemExit as exc:\n"
             "            codes.append(exc.code)\n"
+            "for argv in (['--version'], ['enumerate', '--format', 'json'],\n"
+            "             ['order-poly', '--pi', '2_1 1_0'], ['eulerian-poly']):\n"
+            "    run(argv)\n"
             "heavy = {'fractions', 'decimal', 'colored_descents.algebra',\n"
             "         'colored_descents.verify'}\n"
-            "print(codes, sorted(heavy & set(sys.modules)))"
+            "loaded = sorted(heavy & set(sys.modules))\n"
+            "run(['verify', 'closure-des', '--r', '2', '--n', '2'])\n"
+            "parsing = {'argparse', 'gettext', 'locale', 'textwrap'}\n"
+            "print(codes, loaded, sorted(parsing & set(sys.modules)))"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True,
             timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[0, 0, 0, 0] []"
+        assert proc.stdout.strip() == "[0, 0, 0, 0, 0] [] []"
 
     def test_passing_verify_runs_load_no_fractions(self):
         # the descent-algebra checks run in integers, and Fraction is built
@@ -741,6 +752,31 @@ class TestArtifacts:
         assert len(rows(json.loads(out))) == 1
         assert out == cli._dump_json(json.loads(out))
 
+    def test_record_templates_are_the_indented_dumps(self):
+        # order-poly's records and idempotents' rows are rendered from
+        # templates, which must give the text of the indented encoder at
+        # their depth in the document: 2 for a record, 4 for a row
+        def dumped(obj, spaces):
+            return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + " " * spaces)
+
+        for r, word in ((1, "1_0"), (2, ORDER_POLY_WORD), (3, "3_2 1_0 4_1 2_2")):
+            pi = parse_one_line(word, r)
+            for j in (0, 1, 7, 123456):
+                record = {"op": "order-poly", "params": {"r": r, "pi": word, "j": j},
+                          "count": str(omega_pi(pi, j))}
+                assert cli._count_record_json(record) == dumped(record, 2), (r, word, j)
+        negative = 0
+        for r, n in IDEMPOTENT_GROUPS:
+            table, _ = _fraction_table(r, n)
+            for i, row in enumerate(table):
+                row = {"i": i, "by_des_class": [
+                    {"des": d, "num": str(c.numerator), "den": str(c.denominator)}
+                    for d, c in enumerate(row)
+                ]}
+                assert cli._idempotent_row_json(row) == dumped(row, 4), (r, n, i)
+                negative += sum(entry["num"].startswith("-") for entry in row["by_des_class"])
+        assert negative > 0
+
     @pytest.mark.parametrize("j", ["abc", "0..", "..3", "0..x", "1..2..3"])
     def test_malformed_j_is_a_usage_error_naming_the_flag(self, capsys, j):
         for command in (["enumerate"], ["verify", "phi"], ["order-poly", "--pi", "1_0"]):
@@ -824,6 +860,130 @@ class TestParser:
         commands = cli.build_parser(["--version", "verify", "closure-des"])
         commands = commands._subparsers._group_actions[0].choices
         assert [name for name, p in commands.items() if len(p._actions) > 1] == ["verify"]
+
+
+# Command-line pieces that the plain reader must leave to argparse, as
+# they stand after a command (and verify's suite)
+NEAR_MISSES = [
+    ["--r=3"], ["--max", "5"], ["-h"], ["--help"], ["--"], ["--n", "-1"], ["-o", "-"],
+    ["--r", "x"], ["--format", "xml"], ["--r"], ["--version"], ["--pi", "2_1", "1_0"],
+]
+PRESET_VALUES = st.one_of(
+    st.integers(-2, 12).map(str), st.sampled_from(["json", "csv", "xml", "0..3", "x", ""]),
+)
+FLAG_VALUES = st.one_of(PRESET_VALUES, st.text("0123456789-_. ajx", max_size=5))
+
+
+def _flag_names(command):
+    return [name for names, *_, commands in cli._FLAGS if command in commands
+            for name in names]
+
+
+@st.composite
+def command_lines(draw):
+    """A command, verify's suite, then flags of the command in any order
+    and repeated, each with a value, and at times a near miss spliced in."""
+    command = draw(st.sampled_from(list(cli._COMMANDS)))
+    argv = [command]
+    if command == "verify":
+        argv.append(draw(st.sampled_from(SUITE_NAMES)))
+    flags = {name: flag for flag in cli._FLAGS if command in flag[-1] for name in flag[0]}
+    for _ in range(draw(st.integers(0, 6))):
+        name = draw(st.sampled_from(sorted(flags)))
+        _, kind, _, choices, *_ = flags[name]
+        fits = (st.sampled_from(choices) if choices
+                else st.integers(0, 12).map(str) if kind is int
+                else st.sampled_from(["0..3", "2", "2_1 1_0", "out.txt", ""]))
+        argv += [name, draw(st.one_of(fits, FLAG_VALUES))]
+    if draw(st.integers(0, 3)) == 0:
+        place = draw(st.integers(1, len(argv)))
+        argv[place:place] = draw(st.sampled_from(NEAR_MISSES))
+    return argv
+
+
+def _presets():
+    """A few COLORED_DESCENTS_* presets of any command's flags."""
+    flags = sorted({names[0][2:] for names, *_ in cli._FLAGS})
+    return st.dictionaries(st.sampled_from(flags), PRESET_VALUES, max_size=3)
+
+
+def _echo(args):
+    print(sorted(vars(args).items()))
+    return 0
+
+
+def _main_outcome(argv):
+    """main's exit code, stdout and stderr, a SystemExit's code standing in
+    for the exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _check_line(argv, presets, run_commands=False):
+    """Under the presets: the plain reader declines argv or gives argparse's
+    namespace, and main answers as when argparse parses every line.
+    Unless run_commands, each command only prints its namespace."""
+    with pytest.MonkeyPatch.context() as mp:
+        for flag, value in presets.items():
+            mp.setenv(cli.ENV_PREFIX + flag.upper().replace("-", "_"), value)
+        if not run_commands:
+            for name, (text, _) in cli._COMMANDS.items():
+                mp.setitem(cli._COMMANDS, name, (text, _echo))
+        plain = cli._read_plain(argv)
+        if plain is not None:
+            assert vars(plain) == vars(cli.build_parser(argv).parse_args(argv)), argv
+        outcome = _main_outcome(argv)
+        mp.setattr(cli, "_read_plain", lambda argv: None)
+        assert outcome == _main_outcome(argv), argv
+    return plain
+
+
+class TestPlainReader:
+    @given(command_lines(), _presets())
+    @settings(max_examples=300, deadline=None)
+    def test_reader_declines_or_agrees_with_argparse(self, argv, presets):
+        _check_line(argv, presets)
+
+    @pytest.mark.parametrize("suite", SUITE_NAMES)
+    def test_every_command_and_suite_is_read_plainly(self, suite):
+        for command in cli._COMMANDS:
+            head = [command, suite] if command == "verify" else [command]
+            flags = [arg for name in _flag_names(command)
+                     for arg in (name, "json" if name == "--format" else "2")]
+            for argv in (head, [*head, *flags]):
+                assert _check_line(argv, {}) is not None, argv
+
+    def test_repeated_flags_and_presets_are_read_as_by_argparse(self):
+        argv = ["verify", "phi", "--r", "3", "-o", "a", "--r", "2", "--output", "b",
+                "--format", "csv", "--format", "json"]
+        args = _check_line(argv, {"r": "4", "k": "5", "format": "xml", "jobs": "2"})
+        assert (args.r, args.k, args.format, args.output, args.jobs) == (2, 5, "json", "b", 2)
+        # a string preset goes through the flag's type; no preset meets choices
+        args = _check_line(["enumerate"], {"max-group-size": "7", "format": "xml"})
+        assert (args.max_group_size, args.format, args.j) == (7, "xml", "0..3")
+        # a preset that its type refuses is left to argparse, unless the flag is given
+        assert _check_line(["enumerate"], {"k": "abc"}) is None
+        assert _check_line(["enumerate", "--k", "1"], {"k": "abc"}).k == 1
+
+    @pytest.mark.parametrize("miss", NEAR_MISSES, ids=" ".join)
+    def test_near_misses_are_left_to_argparse(self, tmp_path, monkeypatch, miss):
+        # "-o -" writes a file named "-"; verify's csv has no duration
+        monkeypatch.chdir(tmp_path)
+        for head in (["enumerate", "--r", "1", "--n", "1"],
+                     ["verify", "barred", "--n", "1", "--format", "csv"]):
+            assert _check_line([*head, *miss], {}, run_commands=True) is None, miss
+
+    def test_other_shapes_are_left_to_argparse(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for argv in ([], ["nosuch"], ["--version", "enumerate"], ["verify"],
+                     ["verify", "--r", "2", "closure-des"], ["verify", "phi", "phi"],
+                     ["enumerate", "--r", "2", "--n"], ["eulerian-poly", "--pi", "1_0"]):
+            assert _check_line(argv, {}, run_commands=True) is None, argv
 
 
 class TestEnvOverrides:

@@ -237,18 +237,15 @@ def _json_ints(nest, spaces: int) -> str:
     return f"[{inner}{(',' + inner).join(items)}\n{' ' * spaces}]"
 
 
-def _json_stream(document: object, rows: Iterable[tuple[object, str]],
-                 schema_name: str) -> Iterator[str]:
-    """``_dump_json(document)`` in chunks, its one null replaced by the texts
-    of the (object, text) rows: each object is validated against schema_name
-    before its text, already indented to the depth of the null, is yielded.
+def _json_stream(document: object, texts: Iterable[str]) -> Iterator[str]:
+    """``_dump_json(document)`` in chunks, its one null replaced by the texts,
+    each already indented to the depth of the null and checked by its maker.
     Every other value in a streamed document is a number or a decimal string,
-    so it dumps with exactly one null; and there is at least one row, since
+    so it dumps with exactly one null; and there is at least one text, since
     G(r, 0) has one element, a --j range is not empty and a table has n + 1 rows."""
     sep, after = _dump_json(document).split("null")
     indent = sep[sep.rindex("\n"):]
-    for obj, text in rows:
-        schemas.validate(obj, schema_name)
+    for text in texts:
         yield sep + text
         sep = "," + indent
     yield after
@@ -256,12 +253,6 @@ def _json_stream(document: object, rows: Iterable[tuple[object, str]],
 
 def _csv_line(fields: Sequence[object]) -> str:
     return ",".join(str(f) for f in fields) + "\n"
-
-
-def _permutation_block(r: int, n: int, letters: list) -> dict:
-    """The ``permutation`` field of an enumerate record.  ``group._letter_walk``
-    makes only valid words, so no ``ColoredPermutation`` checks them."""
-    return {"r": r, "n": n, "letters": letters}
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
@@ -277,14 +268,17 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     def stat(w: Word):
         """The record fields of w other than its rank and letters; des and
         intdes are read off the one descent set, intdes dropping position n.
-        In JSON they come with the record's text up to its first letter.
-        Every field is a function of w's run composition, so the factor walk
-        calls this once per run composition, r·(r+1)^(n-1) times."""
+        In JSON they are checked, then come as the record's text up to its
+        first letter.  Every field is a function of w's run composition, so
+        the factor walk calls this once per run composition, r·(r+1)^(n-1) times."""
         dset = descent_positions(w)
         des, intdes, parts = len(dset), len(dset) - (n in dset), _run_parts(w)
         if fmt == "json":
             dlist, key = sorted(dset), [list(part) for part in parts]
-            return dlist, des, intdes, key, (
+            for field, value in (("descent_set", dlist), ("des", des),
+                                 ("intdes", intdes), ("mr_key", key)):
+                schemas.validate(value, "enumerate_record", field)
+            return (
                 f'{{\n    "des": {des},\n    "descent_set": {_json_ints(dlist, 4)},'
                 f'\n    "intdes": {intdes},\n    "mr_key": {_json_ints(key, 4)},'
                 f'\n    "permutation": {{\n      "letters": {opener}'
@@ -302,26 +296,25 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     rows = zip(itertools.count(), map(" ".join, walk("{}_{}".format)),
                _word_stats(r, n, stat, args.max_group_size))
     if fmt == "json":
+        # r, n and every letter (as _letter_walk makes it) are checked before
+        # the first record, the statistics in stat, a rank and word per record
+        for key, value in (("r", r), ("n", n)):
+            schemas.validate(value, "enumerate_record", "permutation", key)
+
+        def letter(v: int, c: int) -> str:
+            schemas.validate([[v, c]], "enumerate_record", "permutation", "letters")
+            return _json_ints((v, c), 8)
+
         join = ",\n        ".join
-        # a word is digits, "_" and spaces, so it needs no JSON escaping
-        records = (
-            (
-                {
-                    "rank": rank,
-                    "word": text,
-                    "permutation": _permutation_block(r, n, list(letters)),
-                    "descent_set": dset,
-                    "des": des,
-                    "intdes": intdes,
-                    "mr_key": mr_key,
-                },
-                f'{head}{join(frags)}{tail}{rank},\n    "word": "{text}"\n  }}',
-            )
-            for (rank, text, (dset, des, intdes, mr_key, head)), letters, frags in zip(
-                rows, walk(lambda v, c: [v, c]), walk(lambda v, c: _json_ints((v, c), 8))
-            )
-        )
-        _emit(_json_stream([None], records, "enumerate_record"), args.output)
+
+        def record(row: tuple[int, str, str], frags: tuple[str, ...]) -> str:
+            rank, text, head = row
+            schemas.validate(rank, "enumerate_record", "rank")
+            # a word is digits, "_" and spaces, so it needs no JSON escaping
+            schemas.validate(text, "enumerate_record", "word")
+            return f'{head}{join(frags)}{tail}{rank},\n    "word": "{text}"\n  }}'
+
+        _emit(_json_stream([None], map(record, rows, walk(letter))), args.output)
     elif fmt == "csv":
         header = ["rank", "word", "descent_set", "des", "intdes", "mr_key"]
         _emit(itertools.chain([_csv_line(header)], (
@@ -403,10 +396,13 @@ def cmd_idempotents(args: argparse.Namespace) -> int:
             {"des": d, "num": str(num), "den": str(den)}
             for d, (num, den) in enumerate(map(lowest, xs))
         ]} for i, xs in enumerate(rows))
-        # a row is checked as a one-row table, so its path reads $.idempotents[0]
-        _emit(_json_stream({**head, "idempotents": [None]}, (
-            ({**head, "idempotents": [row]}, _idempotent_row_json(row)) for row in table
-        ), "idempotent_table"), args.output)
+
+        def text(row: dict) -> str:
+            # a row is checked as a one-row table, so its path reads $.idempotents[0]
+            schemas.validate({**head, "idempotents": [row]}, "idempotent_table")
+            return _idempotent_row_json(row)
+
+        _emit(_json_stream({**head, "idempotents": [None]}, map(text, table)), args.output)
     elif args.format == "csv":
         _emit(itertools.chain([_csv_line(["i", "des", "coefficient"])], (
             _csv_line([i, d, "{}/{}".format(*lowest(x))])
@@ -459,8 +455,12 @@ def cmd_order_poly(args: argparse.Namespace) -> int:
         word = str(pi)
         records = ({"op": "order-poly", "params": {"r": r, "pi": word, "j": j},
                     "count": count} for j, count in counts)
-        _emit(_json_stream([None], ((rec, _count_record_json(rec)) for rec in records),
-                           "count_record"), args.output)
+
+        def text(record: dict) -> str:
+            schemas.validate(record, "count_record")
+            return _count_record_json(record)
+
+        _emit(_json_stream([None], map(text, records)), args.output)
     elif args.format == "csv":
         _emit(itertools.chain([_csv_line(["j", "count"])], map(_csv_line, counts)),
               args.output)

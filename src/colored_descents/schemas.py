@@ -178,13 +178,13 @@ def _fail(failed: tuple, steps: tuple) -> NoReturn:
     raise SchemaError(f"{path}: fails {keyword} {value!r}")
 
 
-def _compile(schema: dict) -> Callable[[object], None]:
+def _compile(schema: dict, keys: tuple = ()) -> Callable[[object], None]:
     """A checker for schema, with the Draft 2020-12 semantics of the eight
     keywords the schemas use, each applied only to instances of its own
     type: one generated function, a straight-line test per keyword and a
     plain loop per array level.  Keys enter its source through repr() and
-    every other schema value through its globals.  The one untyped schema
-    is ``{}``, which accepts anything; any other raises KeyError."""
+    every other schema value through its globals; failure paths start at
+    keys.  The one untyped schema, ``{}``, accepts anything; any other raises KeyError."""
     if schema == {}:
         return lambda obj: None
     env: dict = {"_fail": _fail}
@@ -231,17 +231,21 @@ def _compile(schema: dict) -> Callable[[object], None]:
         elif "minimum" in sub:
             test(f"{v} < {const(sub['minimum'])}", "minimum")
 
-    emit(schema, 0, "", " ")
+    emit(schema, 0, "".join(f"{key!r}, " for key in keys), " ")
     exec("\n".join(lines), env)
     return env["check"]
 
 
 @functools.cache
-def _checker(schema_name: str) -> Callable[[object], None]:
-    return _compile(SCHEMAS[schema_name])
+def _checker(schema_name: str, keys: tuple) -> Callable[[object], None]:
+    schema = SCHEMAS[schema_name]
+    for key in keys:
+        schema = schema["properties"][key]
+    return _compile(schema, keys)
 
 
-def validate(obj: object, schema_name: str) -> None:
-    """Check obj before it is written; raises SchemaError naming the JSON
-    path and the keyword.  Each schema is compiled on its first use."""
-    _checker(schema_name)(obj)
+def validate(obj: object, schema_name: str, *keys: str) -> None:
+    """Check obj, the value at property path keys in a schema_name document,
+    before it is written; raises SchemaError naming its JSON path and the
+    keyword.  Each (schema_name, keys) is compiled on its first use."""
+    _checker(schema_name, keys)(obj)

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -101,30 +102,68 @@ class TestEnumerate:
         assert records[0]["word"] == "1_0 2_0"
 
     def test_json_stream_stops_at_a_bad_record(self, capsys, monkeypatch):
-        # records are validated and written one at a time; a bad first
-        # record writes nothing, and the schema error is not a usage error
-        monkeypatch.setattr(
-            "colored_descents.cli._permutation_block", lambda r, n, letters: {"r": 0}
-        )
-        with pytest.raises(schemas.SchemaError, match="permutation"):
+        # every letter is checked as _letter_walk makes it, all of them
+        # before the first record, so a bad letter (2_1 first appears in the
+        # second record) writes nothing; the schema error is not a usage error
+        real = cli._letter_walk
+
+        def walk(r, n, letter):
+            return real(r, n, lambda v, c: letter(v, -1) if (v, c) == (2, 1) else letter(v, c))
+
+        monkeypatch.setattr(cli, "_letter_walk", walk)
+        with pytest.raises(schemas.SchemaError,
+                           match=r"^\$\.permutation\.letters\[0\]\[1\]: fails minimum 0$"):
             main(["enumerate", "--r", "2", "--n", "2", "--format", "json"])
         assert capsys.readouterr().out == ""
 
-    def test_json_validates_once_per_record(self, capsys, monkeypatch):
-        # one schemas.validate call per record, none batched or skipped
-        calls = []
+    def test_json_validates_each_value_once_before_writing_it(self, monkeypatch):
+        # at G(2,3): r and n once, each of the 6 letters once, the four
+        # statistics once per run composition (r(r+1)^(n-1) = 18), and the
+        # rank and word once per record, each before the first record
+        # holding it is written
+        events = []
         validate = schemas.validate
 
-        def counted(obj, schema_name):
-            calls.append(schema_name)
-            validate(obj, schema_name)
+        def counted(obj, schema_name, *keys):
+            assert schema_name == "enumerate_record"
+            events.append((keys, json.dumps(obj)))
+            validate(obj, schema_name, *keys)
+
+        def emit(chunks, output):
+            for chunk in chunks:
+                events.append(chunk)
 
         monkeypatch.setattr(schemas, "validate", counted)
-        code, out, _ = run(
-            capsys, "enumerate", "--r", "2", "--n", "3", "--format", "json"
-        )
-        assert code == 0 and len(json.loads(out)) == 48
-        assert calls == ["enumerate_record"] * 48
+        monkeypatch.setattr(cli, "_emit", emit)
+        assert main(["enumerate", "--r", "2", "--n", "3", "--format", "json"]) == 0
+        checked, records = set(), []
+        for event in events:
+            if isinstance(event, tuple):
+                checked.add(event)
+            elif event != "\n]\n":
+                # a record's chunk starts with "[" or the "," after the last
+                records.append(record := json.loads(event[1:]))
+                block = record["permutation"]
+                held = {(("permutation", "r"), json.dumps(block["r"])),
+                        (("permutation", "n"), json.dumps(block["n"]))}
+                held |= {(("permutation", "letters"), json.dumps([letter]))
+                         for letter in block["letters"]}
+                held |= {((field,), json.dumps(record[field]))
+                         for field in ("rank", "word", "descent_set", "des", "intdes", "mr_key")}
+                assert held <= checked, (record, held - checked)
+        assert events[-1] == "\n]\n" and len(records) == 48
+        want = Counter({(("permutation", "r"), "2"): 1, (("permutation", "n"), "3"): 1})
+        want.update((("permutation", "letters"), json.dumps([[v, c]]))
+                    for v in (1, 2, 3) for c in (0, 1))
+        runs = {json.dumps(record["mr_key"]): record for record in records}
+        assert len(runs) == 18
+        want.update(((field,), json.dumps(record[field])) for record in runs.values()
+                    for field in ("descent_set", "des", "intdes", "mr_key"))
+        want.update(((field,), json.dumps(record[field])) for record in records
+                    for field in ("rank", "word"))
+        calls = [event for event in events if isinstance(event, tuple)]
+        assert len(calls) == 2 + 6 + 4 * 18 + 2 * 48
+        assert Counter(calls) == want
 
     def test_csv_header(self, capsys):
         code, out, _ = run(

@@ -15,10 +15,11 @@ from colored_descents.group import (
     ColoredComposition,
     descent_profile,
     enumerate_group,
+    group_order,
     mr_key,
     permutation_to_json,
 )
-from colored_descents.schemas import SchemaError
+from colored_descents.schemas import SCHEMAS, SchemaError, validate
 
 # (2,4) and (1,5) give many permutations one value-descent pattern, so a
 # row of statistics is reused across them; (3,4) and (4,3) have many color
@@ -82,17 +83,39 @@ def test_enumerate_matches_reference_bytes(capsys, r, n, fmt):
     assert capsys.readouterr().out == REFERENCES[fmt](r, n)
 
 
+@pytest.mark.parametrize("r, n", GROUPS, ids=lambda v: str(v))
+def test_every_json_record_passes_both_checkers(capsys, r, n):
+    # the CLI checks each value where it is made, never a whole record, so
+    # whole records are checked here, against the checker and jsonschema
+    jsonschema = pytest.importorskip("jsonschema")
+    oracle = jsonschema.Draft202012Validator(SCHEMAS["enumerate_record"])
+    assert main(["enumerate", "--r", str(r), "--n", str(n), "--format", "json"]) == 0
+    records = json.loads(capsys.readouterr().out)
+    assert len(records) == group_order(r, n)
+    for record in records:
+        validate(record, "enumerate_record")
+        oracle.validate(record)
+
+
 def test_a_bad_record_stops_the_stream_after_the_good_ones(capsys, monkeypatch):
-    real = cli._permutation_block
-    calls = []
+    # a run composition's statistics are checked when the factor walk first
+    # meets it, as it builds the row of that word's value permutation, so
+    # the stream stops before the permutation's first record, with no
+    # record of that run composition written
+    real = cli._run_parts
+    bad = ((1, 0), (2, 0))  # first in 2_0 1_0 3_0, the third permutation
 
-    def third_is_bad(r, n, letters):
-        calls.append(letters)
-        return {"r": 0} if len(calls) == 3 else real(r, n, letters)
+    def corrupt(word):
+        parts = real(word)
+        return ((1, 0, 0), (2, 0)) if parts == bad else parts
 
-    monkeypatch.setattr(cli, "_permutation_block", third_is_bad)
-    with pytest.raises(SchemaError, match=r"^\$\.permutation: fails required"):
-        main(["enumerate", "--r", "2", "--n", "2", "--format", "json"])
+    monkeypatch.setattr(cli, "_run_parts", corrupt)
+    with pytest.raises(SchemaError, match=r"^\$\.mr_key\[0\]: fails maxItems 2$"):
+        main(["enumerate", "--r", "2", "--n", "3", "--format", "json"])
     out = capsys.readouterr().out
-    assert out.count('"rank"') == 2
-    assert reference_json(2, 2).startswith(out)
+    assert reference_json(2, 3).startswith(out)
+    rows = list(reference_rows(2, 3))
+    first = next(rank for rank, _, _, parts in rows if parts == bad)
+    written = out.count('"rank"')
+    assert written == first - first % 2**3 == 16
+    assert all(parts != bad for _, _, _, parts in rows[:written])

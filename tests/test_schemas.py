@@ -209,3 +209,75 @@ def test_untyped_schema_other_than_empty_fails_at_compile():
     assert schemas._compile({})([1, "x"]) is None
     with pytest.raises(KeyError):
         schemas._compile({"minimum": 0})
+
+
+@pytest.mark.parametrize("keys, value, message", [
+    (("mr_key",), [[1, 0], [1, 0, 0]], "$.mr_key[1]: fails maxItems 2"),
+    (("mr_key",), [[1]], "$.mr_key[0]: fails minItems 2"),
+    (("permutation",), {"r": 2, "n": 2, "letters": [[1, 0], [2]]},
+     "$.permutation.letters[1]: fails minItems 2"),
+    (("permutation", "letters"), [[2, -1]], "$.permutation.letters[0][1]: fails minimum 0"),
+    (("permutation", "r"), 0, "$.permutation.r: fails minimum 1"),
+    (("word",), 1, "$.word: fails type 'string'"),
+])
+def test_a_property_path_names_the_full_path(keys, value, message):
+    with pytest.raises(SchemaError) as info:
+        schemas.validate(value, "enumerate_record", *keys)
+    assert str(info.value) == message
+
+
+def _paths(schema: dict, doc: object, keys: tuple = ()):
+    """(keys, value) for every property path of schema that doc holds."""
+    yield keys, doc
+    if isinstance(doc, dict):
+        for key, sub in schema.get("properties", {}).items():
+            if key in doc:
+                yield from _paths(sub, doc[key], keys + (key,))
+
+
+def _placed(doc: object, keys: tuple, value: object) -> object:
+    return {**doc, keys[0]: _placed(doc[keys[0]], keys[1:], value)} if keys else value
+
+
+def _failure(value: object, name: str, keys: tuple = ()) -> str | None:
+    try:
+        schemas.validate(value, name, *keys)
+    except SchemaError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("name, doc", [
+    ("count_record", COUNT), ("idempotent_table", TABLE), ("enumerate_record", RECORD),
+])
+def test_a_property_path_checks_a_value_as_its_place_in_the_document(name, doc):
+    # every value one mutation away fails at its path exactly as it fails
+    # in its place in the whole document, with the same message
+    for keys, value in _paths(SCHEMAS[name], doc):
+        assert _failure(value, name, keys) is None
+        for mutant in mutants(value):
+            assert _failure(mutant, name, keys) == _failure(_placed(doc, keys, mutant), name)
+
+
+@pytest.mark.parametrize("keys", [("rnak",), ("rank", "x"), ("permutation", "letters", "0")])
+def test_an_undeclared_property_path_fails_at_compile(keys):
+    with pytest.raises(KeyError):
+        schemas.validate(0, "enumerate_record", *keys)
+
+
+def test_each_property_path_is_compiled_once(monkeypatch):
+    compiled = []
+    real = schemas._compile
+
+    def counting(schema, keys=()):
+        compiled.append(keys)
+        return real(schema, keys)
+
+    monkeypatch.setattr(schemas, "_compile", counting)
+    schemas._checker.cache_clear()
+    for _ in range(3):
+        schemas.validate(RECORD, "enumerate_record")
+        schemas.validate(1, "enumerate_record", "des")
+        schemas.validate([[1, 0]], "enumerate_record", "mr_key")
+        schemas.validate(2, "enumerate_record", "permutation", "r")
+    assert compiled == [(), ("des",), ("mr_key",), ("permutation", "r")]
